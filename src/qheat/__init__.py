@@ -26,14 +26,11 @@ from .disorder import (
 )
 from .engine import (
     HeatDistribution,
-    HeatRecord,
     ProtocolConfig,
     characteristic_function,
-    empirical_distribution,
     exact_distribution,
     heat_moment,
     jarzynski_estimate,
-    run_trajectory,
     sample_heats,
     unitality_residual,
 )
@@ -41,6 +38,7 @@ from .exceptions import (
     ConfigError,
     DegenerateSpectrumError,
     EnumerationTooLargeError,
+    IntervalCapError,
     InvalidStateError,
     MomentMismatchError,
     NotHermitianError,
@@ -79,19 +77,17 @@ __all__ = [
     "sample_until_total_time",
     "sample_waiting_times",
     "HeatDistribution",
-    "HeatRecord",
     "ProtocolConfig",
     "characteristic_function",
-    "empirical_distribution",
     "exact_distribution",
     "heat_moment",
     "jarzynski_estimate",
-    "run_trajectory",
     "sample_heats",
     "unitality_residual",
     "ConfigError",
     "DegenerateSpectrumError",
     "EnumerationTooLargeError",
+    "IntervalCapError",
     "InvalidStateError",
     "MomentMismatchError",
     "NotHermitianError",

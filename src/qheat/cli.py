@@ -8,7 +8,8 @@ needed to re-run the experiment. Output is byte-deterministic for a
 fixed config and seed: no timestamps, shortest-roundtrip float
 formatting.
 
-Exit codes: 0 success, 2 config error, 3 enumeration cap exceeded,
+Exit codes: 0 success, 2 config error, 3 size cap exceeded (enumeration
+terms for ``exact``, waiting times per trajectory for ``simulate``),
 4 verification failure.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__, engine, tls
 from .disorder import Annealed, DiscreteWaitingDist, Fixed, Quenched
-from .exceptions import ConfigError, EnumerationTooLargeError, QheatError
+from .exceptions import ConfigError, EnumerationTooLargeError, IntervalCapError, QheatError
 from .operators import DensityMatrix, MeasurementBasis, spectral_decompose
 
 CONFIG_ERROR = 2
@@ -61,17 +62,26 @@ class ResultTable:
             stream.write(",".join(self._format(c) for c in row) + "\n")
 
 
-def _require(mapping, key, kind, where):
+def _require(mapping, key, kind, where, default=...):
+    """``mapping[key]`` checked to be a ``kind``; ``default`` (if given) when the key is absent."""
     if key not in mapping:
+        if default is not ...:
+            return default
         raise ConfigError(f"{where}.{key}", "missing")
     value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    # bool is a subclass of int, but JSON true/false is never a number here.
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _seed(spec: dict) -> int:
+    seed = _require(spec, "seed", int, "<root>", 0)
+    if seed < 0:
+        raise ConfigError("<root>.seed", "must be a non-negative integer")
+    return seed
 
 
 def _parse_complex_matrix(raw, where) -> np.ndarray:
@@ -105,13 +115,16 @@ def parse_experiment(spec: dict) -> engine.ProtocolConfig:
         raise ConfigError("<root>", "top-level config must be an object")
     system = _require(spec, "system", dict, "<root>")
     kind = _require(system, "kind", str, "system")
+    beta = _require(spec, "beta", float, "<root>", 0.0)
+    if not beta >= 0:
+        raise ConfigError("<root>.beta", "must be non-negative")
     if kind == "tls":
         params = tls.TwoLevelParams(
             energy=_require(system, "energy", float, "system"),
             a_sq=_require(system, "a_sq", float, "system"),
             excited_pop=_require(system, "excited_pop", float, "system"),
             n_meas=1,
-            beta=float(spec.get("beta", 0.0)),
+            beta=beta,
         )
         h, basis = tls.hamiltonian(params), tls.measurement_basis(params)
         rho0 = tls.initial_state(params)
@@ -121,21 +134,24 @@ def parse_experiment(spec: dict) -> engine.ProtocolConfig:
             _parse_complex_matrix(system.get("basis"), "system.basis")
         )
         rho0 = DensityMatrix(_parse_complex_matrix(system.get("rho0"), "system.rho0"))
+        if not h.dim == basis.dim == rho0.dim:
+            raise ConfigError("system", "hamiltonian, basis and rho0 dimensions differ")
     else:
         raise ConfigError("system.kind", f"unknown system kind {kind!r}")
 
     model = _parse_model(_require(spec, "model", dict, "<root>"))
     schedule = _require(spec, "schedule", dict, "<root>")
-    m_count = schedule.get("m_count")
-    total_time = schedule.get("total_time")
+    m_count = _require(schedule, "m_count", int, "schedule", None)
+    total_time = _require(schedule, "total_time", float, "schedule", None)
+    seed = _seed(spec)
     try:
         return engine.ProtocolConfig(
             h=h,
             basis=basis,
             rho0=rho0,
             model=model,
-            beta=float(spec.get("beta", 0.0)),
-            seed=int(spec.get("seed", 0)),
+            beta=beta,
+            seed=seed,
             m_count=m_count,
             total_time=total_time,
         )
@@ -158,13 +174,13 @@ def _base_metadata(command: str, spec: dict, seed: int) -> dict:
     }
 
 
-def cmd_simulate(spec: dict, seed: int, threads: int) -> ResultTable:
+def cmd_simulate(spec: dict, seed: int) -> ResultTable:
     """Monte Carlo run: heat histogram, exponential average, first moments."""
     config = parse_experiment({**spec, "seed": seed})
     n_traj = int(spec.get("n_traj", 10_000))
     if n_traj < 2:
         raise ConfigError("n_traj", "need at least 2 trajectories")
-    heats = engine.sample_heats(config, n_traj, threads=threads)
+    heats = engine.sample_heats(config, n_traj)
     dist = engine.HeatDistribution.from_samples(heats)
     weights = np.exp(-config.beta * heats)
     est = float(weights.mean())
@@ -380,13 +396,16 @@ def cmd_figure(which: str, overrides: dict, seed: int, inset: bool = False) -> R
 def _load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "<file>", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(spec, dict):
+        raise ConfigError("<root>", "top-level config must be an object")
+    return spec
 
 
 def _write_output(table: ResultTable, out: str | None):
@@ -407,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo trajectory sampling")
     sim.add_argument("--config", required=True, help="JSON experiment description")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1, help="recorded in the header; no effect")
     sim.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     exa = sub.add_parser("exact", help="exact enumeration of the heat statistics")
@@ -433,13 +452,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             spec = _load_spec(args.config)
-            seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-            table = cmd_simulate(spec, seed, args.threads)
+            seed = args.seed if args.seed is not None else _seed(spec)
+            table = cmd_simulate(spec, seed)
             table.metadata["threads"] = args.threads
             _write_output(table, args.out)
         elif args.command == "exact":
             spec = _load_spec(args.config)
-            seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+            seed = args.seed if args.seed is not None else _seed(spec)
             _write_output(cmd_exact(spec, seed), args.out)
         elif args.command == "figure":
             overrides = _load_spec(args.config) if args.config else {}
@@ -455,9 +474,6 @@ def main(argv=None) -> int:
             print(f"summary: {n_pass}/{len(results)} checks passed")
             if n_pass != len(results):
                 return VERIFY_ERROR
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     except EnumerationTooLargeError as exc:
         print(
             f"error: {exc}\nhint: reduce m_count or the number of disorder atoms, "
@@ -465,10 +481,14 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return ENUMERATION_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except QheatError as exc:
+    except IntervalCapError as exc:
+        print(
+            f"error: {exc}\nhint: shorten total_time, lengthen the shortest waiting time, "
+            "or use an m_count schedule",
+            file=sys.stderr,
+        )
+        return ENUMERATION_ERROR
+    except (QheatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     return 0

@@ -15,6 +15,8 @@ never touch global random state.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,17 +111,31 @@ class SequenceRealization:
     weight: float
 
 
-def _draw_index(dist: DiscreteWaitingDist, rng: np.random.Generator) -> int:
-    r = rng.random()
+def draw_table(probs) -> tuple[list[float], list[int]]:
+    """Table for ``draw_index``: running totals over the positive entries, and their indices.
+
+    The last total is infinite, so a uniform draw at or above the true sum
+    (round-off) selects the last positive entry.
+    """
+    totals: list[float] = []
+    indices: list[int] = []
     acc = 0.0
-    last = 0
-    for i, p in enumerate(dist.probs):
-        if p > 0:
-            last = i
-            acc += p
-            if r < acc:
-                return i
-    return last
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            acc += float(p)
+            totals.append(acc)
+            indices.append(i)
+    totals[-1] = math.inf
+    return totals, indices
+
+
+def draw_index(rng: np.random.Generator, table: tuple[list[float], list[int]]) -> int:
+    """Sample an index from a ``draw_table`` with one uniform draw.
+
+    Only indices with strictly positive probability can be returned.
+    """
+    totals, indices = table
+    return indices[bisect_right(totals, rng.random())]
 
 
 def sample_waiting_times(
@@ -131,7 +147,7 @@ def sample_waiting_times(
     if isinstance(model, Fixed):
         return np.full(m_count, model.tau_bar)
     if isinstance(model, Quenched):
-        tau = model.dist.values[_draw_index(model.dist, rng)]
+        tau = model.dist.values[draw_index(rng, draw_table(model.dist.probs))]
         return np.full(m_count, tau)
     if isinstance(model, Annealed):
         cum = np.cumsum(model.dist.probs)
@@ -204,10 +220,11 @@ def sample_until_total_time(
     if isinstance(model, Fixed):
         draw = lambda: model.tau_bar  # noqa: E731
     elif isinstance(model, Quenched):
-        tau = model.dist.values[_draw_index(model.dist, rng)]
+        tau = model.dist.values[draw_index(rng, draw_table(model.dist.probs))]
         draw = lambda: tau  # noqa: E731
     elif isinstance(model, Annealed):
-        draw = lambda: model.dist.values[_draw_index(model.dist, rng)]  # noqa: E731
+        table = draw_table(model.dist.probs)
+        draw = lambda: model.dist.values[draw_index(rng, table)]  # noqa: E731
     else:
         raise TypeError(f"unknown waiting-time model {model!r}")
 

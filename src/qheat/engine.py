@@ -6,34 +6,40 @@ applied at (possibly random) waiting times, and a closing energy
 measurement is taken. The heat is the energy difference between the two
 energy readouts; this module computes its statistics three ways:
 
-* Monte Carlo over measurement trajectories (``run_trajectory``,
-  ``sample_heats``),
+* Monte Carlo over measurement trajectories (``sample_heats``),
 * exact enumeration over disorder realizations and outcome sequences
   (``exact_distribution``, ``characteristic_function``), and
 * moments via numerical differentiation of the characteristic function,
   cross-checked against the distribution route (``heat_moment``).
 
 Internally everything is expressed in the energy eigenbasis, where the
-free propagator is diagonal. Trajectories track a normalized pure state
-vector: the opening energy measurement purifies the state, so density
-matrices are never needed along a trajectory.
+free propagator is diagonal. The measurements are rank-1 projective, so
+after each one the state is a known basis vector and the outcome labels
+form a classical Markov chain: preparation ``|<k|n>|^2`` from the
+opening level ``n``, transitions ``T(tau)[k', k] = |<k'|U(tau)|k>|^2``
+between outcomes, readout ``|<m|k>|^2`` by the closing energy
+measurement. Monte Carlo samples this chain from probability tables;
+no state vector is propagated, and the first waiting time and the free
+evolution after the last measurement drop out.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .disorder import (
+    Fixed,
     WaitingTimeModel,
+    draw_index,
+    draw_table,
     enumerate_realizations,
     sample_until_total_time,
     sample_waiting_times,
 )
-from .exceptions import EnumerationTooLargeError, MomentMismatchError
+from .exceptions import EnumerationTooLargeError, IntervalCapError, MomentMismatchError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -44,8 +50,12 @@ from .operators import (
 DEFAULT_TERM_CAP = 10**7
 ATOM_MERGE_TOL = 1e-12
 # Trajectories are seeded in fixed-size blocks so that results do not
-# depend on how blocks are distributed over threads.
+# depend on how the run is split.
 CHUNK_SIZE = 1024
+# Most waiting times one fixed-total-time trajectory may draw
+# (total_time / shortest waiting time); each is one draw and one stored
+# interval, so a run past it would effectively hang.
+MAX_INTERVALS = 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +89,6 @@ class ProtocolConfig:
             raise ValueError("beta must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-
-
-@dataclass(frozen=True, eq=False)
-class HeatRecord:
-    """Outcome of a single protocol run."""
-
-    n: int
-    ks: np.ndarray
-    taus: np.ndarray
-    m: int
-    q: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +168,8 @@ def _merge_atoms(qs: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
 class _EnergyFrame:
     """Per-config working data in the energy eigenbasis.
 
-    The free propagator is diagonal here, so a trajectory step costs one
-    elementwise phase multiplication plus one small matvec.
+    Exact enumeration uses the measurement vectors and the diagonal free
+    propagator; the sampler uses draw tables of the outcome chain.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -181,8 +180,13 @@ class _EnergyFrame:
         self.basis_cols = h.eigenvectors.conj().T @ config.basis.vectors
         self.basis_rows = np.ascontiguousarray(self.basis_cols.conj().T)
         self.populations = energy_populations(config.rho0, config.h)
-        self._pop_list = [float(p) for p in self.populations]
         self._phase_cache: dict[float, np.ndarray] = {}
+        overlaps = self.basis_cols.real**2 + self.basis_cols.imag**2  # [n, k] = |<k|n>|^2
+        self.opening = draw_table(self.populations)
+        self.first = [draw_table(row) for row in overlaps]
+        self.readout = [draw_table(col) for col in overlaps.T]
+        # Keyed by waiting time; only support values of the law occur.
+        self._steps: dict[float, list] = {}
 
     def phases(self, tau: float) -> np.ndarray:
         cached = self._phase_cache.get(tau)
@@ -191,80 +195,63 @@ class _EnergyFrame:
             self._phase_cache[tau] = cached
         return cached
 
+    def step(self, tau: float) -> list:
+        """Draw tables of ``T(tau)``, one per previous outcome."""
+        tables = self._steps.get(tau)
+        if tables is None:
+            phases = self.phases(tau)
+            tables = []
+            for k in range(self.dim):
+                amps = self.basis_rows @ (phases * self.basis_cols[:, k])
+                tables.append(draw_table(amps.real**2 + amps.imag**2))
+            self._steps[tau] = tables
+        return tables
 
-def _draw(rng: np.random.Generator, probs) -> int:
-    """Sample an index from a small probability vector.
 
-    Only indices with strictly positive probability can be returned: the
-    running total does not advance on zero entries and the uniform draw
-    is strictly below it at selection time.
+def _run_steps(config: ProtocolConfig, rng: np.random.Generator, frame: _EnergyFrame) -> float:
+    """Heat of one trajectory sampled on the outcome chain.
+
+    Uniform draws are taken in protocol order: the opening level, the
+    waiting times, one per measurement outcome, and the closing level.
     """
-    r = rng.random()
-    acc = 0.0
-    last = 0
-    for i, p in enumerate(probs):
-        if p > 0.0:
-            last = i
-            acc += p
-            if r < acc:
-                return i
-    return last
-
-
-def _run_steps(config: ProtocolConfig, rng: np.random.Generator, frame: _EnergyFrame):
-    """Single trajectory; returns (n, ks, taus, m, q)."""
-    n = _draw(rng, frame._pop_list)
+    n = draw_index(rng, frame.opening)
     if config.total_time is not None:
-        m_count, taus = sample_until_total_time(config.model, config.total_time, rng)
-        remainder = config.total_time - taus.sum()
+        taus = sample_until_total_time(config.model, config.total_time, rng)[1]
     else:
         taus = sample_waiting_times(config.model, config.m_count, rng)
-        m_count = config.m_count
-        remainder = None
-
-    state = np.zeros(frame.dim, dtype=complex)
-    state[n] = 1.0
-    ks = np.empty(m_count, dtype=int)
-    for i in range(m_count):
-        state = frame.phases(taus[i]) * state
-        amps = frame.basis_rows @ state
-        born = amps.real**2 + amps.imag**2
-        k = _draw(rng, born)
-        ks[i] = k
-        state = frame.basis_cols[:, k]
-    if remainder is not None and remainder > 0:
-        # Free evolution after the last measurement commutes with the
-        # closing energy measurement; kept for fidelity to the protocol.
-        state = frame.phases(remainder) * state
-    final = state.real**2 + state.imag**2
-    m = _draw(rng, final)
-    q = float(frame.evals[m] - frame.evals[n])
-    return n, ks, taus, m, q
+    if len(taus) == 0:
+        # Nothing was measured in between, so the closing measurement
+        # finds level n again; it still takes its draw.
+        rng.random()
+        return 0.0
+    k = draw_index(rng, frame.first[n])
+    for tau in taus[1:]:
+        k = draw_index(rng, frame.step(tau)[k])
+    m = draw_index(rng, frame.readout[k])
+    return frame.evals[m] - frame.evals[n]
 
 
-def run_trajectory(
-    config: ProtocolConfig, rng: np.random.Generator, *, _frame: _EnergyFrame | None = None
-) -> HeatRecord:
-    """Run one protocol realization and record the exchanged heat.
-
-    The opening energy measurement samples a level from the state's
-    energy populations; each observable measurement samples an outcome
-    with its Born probability and collapses the (pure) state onto the
-    corresponding basis vector; the closing energy measurement yields the
-    final level. Sampling only ever selects outcomes with positive
-    probability.
-    """
-    frame = _frame if _frame is not None else _EnergyFrame(config)
-    n, ks, taus, m, q = _run_steps(config, rng, frame)
-    return HeatRecord(n=n, ks=ks, taus=taus, m=m, q=q)
+def _check_interval_cap(config: ProtocolConfig):
+    if config.total_time is None:
+        return
+    model = config.model
+    if isinstance(model, Fixed):
+        shortest = model.tau_bar
+    else:
+        shortest = model.dist.values[model.dist.probs > 0].min()
+    intervals = config.total_time / shortest
+    if intervals > MAX_INTERVALS:
+        raise IntervalCapError(
+            f"total_time / shortest waiting time = {intervals:.3g} intervals per "
+            f"trajectory, cap is {MAX_INTERVALS}"
+        )
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Generator for one trajectory block, derived from the master seed.
 
-    Blocks are the unit of the parallel partition contract: block
-    ``chunk_index`` always produces the same trajectories no matter which
-    thread runs it.
+    Blocks are the unit of the partition contract: block ``chunk_index``
+    always produces the same trajectories, however the run is split.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
@@ -277,51 +264,32 @@ def sample_heats_chunk(
     _frame: _EnergyFrame | None = None,
 ) -> np.ndarray:
     """Heat values of one seeded trajectory block."""
+    _check_interval_cap(config)
     frame = _frame if _frame is not None else _EnergyFrame(config)
     rng = chunk_rng(config.seed, chunk_index)
     out = np.empty(count)
     for i in range(count):
-        out[i] = _run_steps(config, rng, frame)[4]
+        out[i] = _run_steps(config, rng, frame)
     return out
 
 
-def sample_heats(config: ProtocolConfig, n_traj: int, threads: int = 1) -> np.ndarray:
+def sample_heats(config: ProtocolConfig, n_traj: int) -> np.ndarray:
     """Heat values of ``n_traj`` independent trajectories.
 
-    Trajectories are generated in fixed-size seeded blocks; the result is
-    bitwise independent of ``threads``.
+    Trajectories are generated in fixed-size seeded blocks, so the result
+    does not depend on how the blocks are split up.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     frame = _EnergyFrame(config)
     n_chunks = (n_traj + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [
-        min(CHUNK_SIZE, n_traj - c * CHUNK_SIZE) for c in range(n_chunks)
-    ]
-    if threads <= 1:
-        parts = [
-            sample_heats_chunk(config, c, sizes[c], _frame=frame) for c in range(n_chunks)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(sample_heats_chunk, config, c, sizes[c], _frame=frame)
-                for c in range(n_chunks)
-            ]
-            parts = [f.result() for f in futures]
-    return np.concatenate(parts)
+    sizes = [min(CHUNK_SIZE, n_traj - c * CHUNK_SIZE) for c in range(n_chunks)]
+    return np.concatenate(
+        [sample_heats_chunk(config, c, size, _frame=frame) for c, size in enumerate(sizes)]
+    )
 
 
-def empirical_distribution(
-    config: ProtocolConfig, n_traj: int, threads: int = 1
-) -> HeatDistribution:
-    """Monte Carlo histogram of the heat over ``n_traj`` trajectories."""
-    return HeatDistribution.from_samples(sample_heats(config, n_traj, threads=threads))
-
-
-def jarzynski_estimate(
-    config: ProtocolConfig, n_traj: int, threads: int = 1
-) -> tuple[float, float]:
+def jarzynski_estimate(config: ProtocolConfig, n_traj: int) -> tuple[float, float]:
     """Trajectory average of exp(-beta*q) with its standard error.
 
     For a thermal initial state the exact value is 1 regardless of the
@@ -330,7 +298,7 @@ def jarzynski_estimate(
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    heats = sample_heats(config, n_traj, threads=threads)
+    heats = sample_heats(config, n_traj)
     x = np.exp(-config.beta * heats)
     mean = float(x.mean())
     stderr = float(x.std(ddof=1) / math.sqrt(n_traj))

@@ -25,6 +25,10 @@ class EnumerationTooLargeError(QheatError):
     """An exact enumeration would exceed the configured term cap."""
 
 
+class IntervalCapError(QheatError):
+    """A fixed-total-time run would draw more waiting times per trajectory than the cap."""
+
+
 class MomentMismatchError(QheatError):
     """The two independent moment routes disagree beyond tolerance.
 

@@ -480,17 +480,6 @@ def peak_mean_heat_annealed(
     return max_mean_heat(replace(p, n_meas=m), Annealed(scaled))
 
 
-def model_for(p: TwoLevelParams, kind: str, dist_or_tau) -> WaitingTimeModel:
-    """Small helper to build a waiting-time model by name."""
-    if kind == "fixed":
-        return Fixed(float(dist_or_tau))
-    if kind == "quenched":
-        return Quenched(dist_or_tau)
-    if kind == "annealed":
-        return Annealed(dist_or_tau)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 def quenched_vs_fixed_margin(p: TwoLevelParams, dist: DiscreteWaitingDist) -> float:
     """Alternating-channel margin deciding quenched versus fixed transfer.
 
@@ -535,6 +524,5 @@ __all__ = [
     "suppression_gap",
     "peak_mean_heat_annealed",
     "quenched_vs_fixed_margin",
-    "model_for",
     "disorder",
 ]

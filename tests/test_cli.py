@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_interval_cap_exits_promptly(self, tmp_path, capsys):
+        # Uncapped, each of the 1500 trajectories would draw 1e8 intervals.
+        spec = base_spec(model={"kind": "fixed", "tau_bar": 1e-7}, schedule={"total_time": 10.0})
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--config", write_spec(tmp_path, spec)])
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.ENUMERATION_ERROR
+        assert "hint: shorten total_time" in capsys.readouterr().err
+
     def test_energy_basis_measurements_leave_no_heat(self, tmp_path):
         spec = base_spec(system={"kind": "tls", "energy": 1.0, "a_sq": 0.0, "excited_pop": 0.3})
         out = tmp_path / "out.csv"
@@ -168,6 +178,38 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == cli.CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"schedule": {"m_count": "5"}}, "schedule.m_count"),
+            ({"schedule": {"m_count": 5.5}}, "schedule.m_count"),
+            ({"schedule": {"m_count": True}}, "schedule.m_count"),
+            ({"schedule": {"total_time": "3"}}, "schedule.total_time"),
+            ({"seed": -3}, "<root>.seed"),
+            ({"seed": "7"}, "<root>.seed"),
+            ({"beta": -1.0}, "<root>.beta"),
+            ({"beta": "1"}, "<root>.beta"),
+            (
+                {
+                    "system": {
+                        "kind": "matrix",
+                        "hamiltonian": [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                        "basis": np.stack([np.eye(3), np.zeros((3, 3))], axis=-1).tolist(),
+                        "rho0": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                    }
+                },
+                "system",
+            ),
+        ],
+    )
+    def test_bad_value_named_without_traceback(self, tmp_path, capsys, overrides, field):
+        # An unhandled exception would propagate out of main and fail here.
+        code = cli.main(["simulate", "--config", write_spec(tmp_path, base_spec(**overrides))])
+        err = capsys.readouterr().err
+        assert code == cli.CONFIG_ERROR
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
 
     def test_unknown_system_kind(self, tmp_path, capsys):
         spec = base_spec(system={"kind": "spin-chain"})

@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from qheat import engine, tls
-from qheat.disorder import Annealed, DiscreteWaitingDist, Fixed, Quenched
+from qheat.disorder import (
+    Annealed,
+    DiscreteWaitingDist,
+    Fixed,
+    Quenched,
+    sample_until_total_time,
+    sample_waiting_times,
+)
 from qheat.engine import (
     HeatDistribution,
     ProtocolConfig,
     characteristic_function,
-    empirical_distribution,
+    chunk_rng,
     exact_distribution,
     heat_moment,
     jarzynski_estimate,
-    run_trajectory,
     sample_heats,
     sample_heats_chunk,
     unitality_residual,
@@ -26,6 +32,7 @@ from qheat.operators import (
     DensityMatrix,
     MeasurementBasis,
     OutcomeSequence,
+    energy_populations,
     measurement_sequence_operator,
     spectral_decompose,
 )
@@ -79,48 +86,84 @@ class TestProtocolConfig:
             )
 
 
-class TestRunTrajectory:
-    def test_energy_basis_gives_zero_heat(self):
-        config = energy_basis_config()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            rec = run_trajectory(config, rng)
-            assert rec.q == 0.0
-            assert rec.m == rec.n
+def _born_draw(rng, probs):
+    """Index drawn by a linear scan of the running total over positive entries."""
+    r = rng.random()
+    acc = 0.0
+    last = 0
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            last = i
+            acc += p
+            if r < acc:
+                return i
+    return last
 
-    def test_record_is_consistent(self):
-        config = tls_config(m=5, model=Annealed(bimodal()))
-        rng = np.random.default_rng(2)
-        rec = run_trajectory(config, rng)
-        assert len(rec.ks) == 5
-        assert len(rec.taus) == 5
-        assert rec.q == config.h.eigenvalues[rec.m] - config.h.eigenvalues[rec.n]
-        assert set(np.unique(rec.taus)).issubset({0.01, 3.0})
 
-    def test_fixed_total_time_counts(self):
-        config = tls_config(model=Fixed(1.0))
-        config = ProtocolConfig(
-            h=config.h,
-            basis=config.basis,
-            rho0=config.rho0,
-            model=Fixed(1.0),
-            beta=1.0,
-            total_time=5.0,
-        )
-        rng = np.random.default_rng(3)
-        rec = run_trajectory(config, rng)
-        assert len(rec.ks) == 5
+def state_vector_heats(config, chunk_index, count):
+    """Reference sampler that propagates the pure state through every step.
 
-    def test_heat_support_is_energy_gaps(self):
-        config = tls_config(m=4, model=Quenched(bimodal()))
-        rng = np.random.default_rng(4)
-        gaps = {
-            float(b - a)
-            for a in config.h.eigenvalues
-            for b in config.h.eigenvalues
-        }
-        for _ in range(100):
-            assert run_trajectory(config, rng).q in gaps
+    Same uniform stream as ``sample_heats_chunk``: opening level, waiting
+    times, Born draws with collapse onto the measured vector, closing
+    level after the free evolution of the remainder. Returns the heats
+    and the measurement count of each trajectory.
+    """
+    h = config.h
+    evals = h.eigenvalues
+    cols = h.eigenvectors.conj().T @ config.basis.vectors
+    rows = cols.conj().T
+    populations = energy_populations(config.rho0, h)
+    rng = chunk_rng(config.seed, chunk_index)
+    heats, counts = np.empty(count), np.empty(count, dtype=int)
+    for i in range(count):
+        n = _born_draw(rng, populations)
+        if config.total_time is not None:
+            _, taus = sample_until_total_time(config.model, config.total_time, rng)
+            remainder = config.total_time - taus.sum()
+        else:
+            taus = sample_waiting_times(config.model, config.m_count, rng)
+            remainder = 0.0
+        state = np.zeros(h.dim, dtype=complex)
+        state[n] = 1.0
+        for tau in taus:
+            amps = rows @ (np.exp(-1j * evals * tau) * state)
+            state = cols[:, _born_draw(rng, amps.real**2 + amps.imag**2)]
+        state = np.exp(-1j * evals * remainder) * state
+        m = _born_draw(rng, state.real**2 + state.imag**2)
+        heats[i], counts[i] = evals[m] - evals[n], len(taus)
+    return heats, counts
+
+
+def haar_d3_total_time_config():
+    rng = np.random.default_rng(41)
+    h = random_hermitian(3, rng)
+    return ProtocolConfig(
+        h=h,
+        basis=random_basis(3, rng),
+        rho0=DensityMatrix.thermal(h, 0.6),
+        model=Annealed(bimodal(0.4, 2.5, 0.5)),
+        beta=0.6,
+        seed=17,
+        total_time=2.0,
+    )
+
+
+class TestStateVectorOracle:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            tls_config(m=5, model=Fixed(0.7), seed=3),
+            tls_config(m=5, model=Quenched(bimodal()), seed=4),
+            tls_config(m=5, model=Annealed(bimodal()), seed=5),
+            haar_d3_total_time_config(),
+        ],
+        ids=["tls-fixed", "tls-quenched", "tls-annealed", "haar-d3-total-time"],
+    )
+    def test_chain_sampler_matches_seed_for_seed(self, config):
+        heats, counts = state_vector_heats(config, 2, 1500)
+        assert np.array_equal(sample_heats_chunk(config, 2, 1500), heats)
+        if config.total_time is not None:
+            assert counts.min() == 0 and counts.max() >= 3
 
 
 class TestSampling:
@@ -133,11 +176,32 @@ class TestSampling:
         ]
         assert np.array_equal(whole, np.concatenate(parts))
 
-    def test_thread_count_does_not_change_results(self):
-        config = tls_config(m=4, model=Quenched(bimodal()), seed=12)
-        assert np.array_equal(
-            sample_heats(config, 3000, threads=1), sample_heats(config, 3000, threads=4)
+    def test_energy_basis_gives_zero_heat(self):
+        assert np.all(sample_heats(energy_basis_config(seed=1), 500) == 0.0)
+
+    def test_fixed_total_time_counts(self):
+        # Fixed intervals take no draws, so a duration that fits exactly
+        # five of them must replay the five-measurement stream.
+        counted = tls_config(m=5, model=Fixed(1.0), seed=3)
+        timed = ProtocolConfig(
+            h=counted.h,
+            basis=counted.basis,
+            rho0=counted.rho0,
+            model=Fixed(1.0),
+            beta=1.0,
+            seed=3,
+            total_time=5.0,
         )
+        assert np.array_equal(sample_heats(timed, 1000), sample_heats(counted, 1000))
+
+    def test_heat_support_is_energy_gaps(self):
+        config = tls_config(m=4, model=Quenched(bimodal()), seed=4)
+        gaps = {
+            float(b - a)
+            for a in config.h.eigenvalues
+            for b in config.h.eigenvalues
+        }
+        assert set(np.unique(sample_heats(config, 1000)).tolist()) <= gaps
 
     def test_same_seed_reproduces(self):
         config = tls_config(m=3, seed=13)
@@ -226,7 +290,7 @@ class TestExactDistribution:
         config = tls_config(m=5, model=Fixed(0.7), seed=21)
         exact = exact_distribution(config)
         n = 100_000
-        emp = empirical_distribution(config, n)
+        emp = HeatDistribution.from_samples(sample_heats(config, n))
         assert exact.total_variation(emp) < 0.02
         for q, p in exact.atoms:
             hit = np.flatnonzero(np.abs(emp.qs - q) <= 1e-12)
