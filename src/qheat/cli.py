@@ -174,17 +174,44 @@ def _base_metadata(command: str, spec: dict, seed: int) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _run_fields(spec: dict) -> tuple[int, list, list]:
+    """The spec's ``n_traj``, ``u_grid`` and ``moments``, checked by every command."""
+    n_traj = _require(spec, "n_traj", int, "<root>", 10_000)
+    if n_traj < 2:
+        raise ConfigError("<root>.n_traj", "need at least 2 trajectories")
+    u_grid = _require(spec, "u_grid", list, "<root>", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    if not all(_is_number(u) and math.isfinite(u) for u in u_grid):
+        raise ConfigError("<root>.u_grid", "expected a list of finite numbers")
+    orders = _require(spec, "moments", list, "<root>", [1, 2])
+    if not all(type(order) is int and 1 <= order <= 4 for order in orders):
+        raise ConfigError("<root>.moments", "expected a list of integers in 1..4")
+    return n_traj, u_grid, orders
+
+
+def _require_finite(value: float, error: float):
+    """Reject an exponential average that over- or underflowed."""
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise ConfigError(
+            "<root>.beta",
+            f"exponential average is not finite ({value!r}, {error!r}); reduce beta",
+        )
+
+
 def cmd_simulate(spec: dict, seed: int) -> ResultTable:
     """Monte Carlo run: heat histogram, exponential average, first moments."""
     config = parse_experiment({**spec, "seed": seed})
-    n_traj = int(spec.get("n_traj", 10_000))
-    if n_traj < 2:
-        raise ConfigError("n_traj", "need at least 2 trajectories")
+    n_traj, _, _ = _run_fields(spec)
     heats = engine.sample_heats(config, n_traj)
     dist = engine.HeatDistribution.from_samples(heats)
-    weights = np.exp(-config.beta * heats)
-    est = float(weights.mean())
-    err = float(weights.std(ddof=1) / math.sqrt(n_traj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(-config.beta * heats)
+        est = float(weights.mean())
+        err = float(weights.std(ddof=1) / math.sqrt(n_traj))
+    _require_finite(est, err)
 
     table = ResultTable(columns=["quantity", "arg", "value", "error"])
     table.metadata = _base_metadata("simulate", spec, seed)
@@ -200,8 +227,7 @@ def cmd_simulate(spec: dict, seed: int) -> ResultTable:
 def cmd_exact(spec: dict, seed: int) -> ResultTable:
     """Exact enumeration: atom probabilities, characteristic function, moments."""
     config = parse_experiment({**spec, "seed": seed})
-    u_grid = spec.get("u_grid", [-2.0, -1.0, 0.0, 1.0, 2.0])
-    orders = spec.get("moments", [1, 2])
+    _, u_grid, orders = _run_fields(spec)
     dist = engine.exact_distribution(config)
 
     table = ResultTable(columns=["quantity", "arg", "value", "aux"])
@@ -211,10 +237,12 @@ def cmd_exact(spec: dict, seed: int) -> ResultTable:
     for u in u_grid:
         g = engine.characteristic_function(config, float(u))
         table.add("char_fn", float(u), g.real, g.imag)
-    g_beta = engine.characteristic_function(config, 1j * config.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_beta = engine.characteristic_function(config, 1j * config.beta)
+    _require_finite(g_beta.real, g_beta.imag)
     table.add("exp_avg", config.beta, g_beta.real, g_beta.imag)
     for order in orders:
-        table.add("moment", int(order), engine.heat_moment(config, int(order)), 0.0)
+        table.add("moment", order, engine.heat_moment(config, order), 0.0)
     return table
 
 
@@ -303,11 +331,26 @@ def _figure_sweep_c1(params: dict, model_of, seed: int) -> ResultTable:
     return table
 
 
+def _fits(value, default) -> bool:
+    """Whether an override has the type of its baked default; an int fits a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return _is_number(value)
+    return type(value) is type(default)
+
+
 def cmd_figure(which: str, overrides: dict, seed: int, inset: bool = False) -> ResultTable:
     """Reference curves for the standard parameter sets, as plot-ready CSV."""
     if which not in FIGURE_DEFAULTS:
         raise ConfigError("figure", f"unknown figure {which!r}")
-    params = {**FIGURE_DEFAULTS[which], **overrides}
+    defaults = FIGURE_DEFAULTS[which]
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise ConfigError(f"figure.{key}", f"not a parameter of {which}")
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"figure.{key}", f"expected the type of the default {defaults[key]!r}")
+    params = {**defaults, **overrides}
 
     if which == "fig1":
         table = _figure_sweep_c1(params, lambda p: Fixed(params["tau_bar"]), seed)

@@ -111,50 +111,75 @@ class SequenceRealization:
     weight: float
 
 
-def draw_table(probs) -> tuple[list[float], list[int]]:
-    """Table for ``draw_index``: running totals over the positive entries, and their indices.
+def draw_table(probs) -> list[float]:
+    """Table for ``draw_index`` and ``draw_indices``: one running total per entry.
 
-    The last total is infinite, so a uniform draw at or above the true sum
-    (round-off) selects the last positive entry.
+    Entries that are not positive repeat the previous total, and every
+    entry from the last positive one on is infinite. The number of totals
+    at or below a uniform draw is then the index it selects, so entries
+    without probability are never chosen and a draw at or above the true
+    sum (round-off) selects the last positive entry.
     """
     totals: list[float] = []
-    indices: list[int] = []
     acc = 0.0
+    last = 0
     for i, p in enumerate(probs):
         if p > 0.0:
             acc += float(p)
-            totals.append(acc)
-            indices.append(i)
-    totals[-1] = math.inf
-    return totals, indices
+            last = i
+        totals.append(acc)
+    totals[last:] = [math.inf] * (len(totals) - last)
+    return totals
 
 
-def draw_index(rng: np.random.Generator, table: tuple[list[float], list[int]]) -> int:
-    """Sample an index from a ``draw_table`` with one uniform draw.
+def draw_index(rng: np.random.Generator, table: list[float]) -> int:
+    """Sample an index from a ``draw_table`` with one uniform draw."""
+    return bisect_right(table, rng.random())
 
-    Only indices with strictly positive probability can be returned.
+
+def draw_indices(tables: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Array form of ``draw_index``: the index each uniform selects.
+
+    ``tables`` is one ``draw_table`` shared by all uniforms, or one table
+    per uniform along its last axis. Both branches count the totals
+    ``<= u``, which is what ``bisect_right`` returns on the non-decreasing
+    table, so both forms pick the same index.
     """
-    totals, indices = table
-    return indices[bisect_right(totals, rng.random())]
+    if tables.ndim == 1:
+        return np.searchsorted(tables, uniforms, side="right")
+    return (tables <= uniforms[..., None]).sum(-1)
+
+
+def uniforms_per_sequence(model: WaitingTimeModel, m_count: int) -> int:
+    """Uniform draws ``sample_waiting_times`` takes per waiting-time vector."""
+    if isinstance(model, Fixed):
+        return 0
+    if isinstance(model, Quenched):
+        return 1
+    if isinstance(model, Annealed):
+        return m_count
+    raise TypeError(f"unknown waiting-time model {model!r}")
 
 
 def sample_waiting_times(
-    model: WaitingTimeModel, m_count: int, rng: np.random.Generator
+    model: WaitingTimeModel, m_count: int, uniforms: np.ndarray
 ) -> np.ndarray:
-    """Draw one waiting-time vector of length ``m_count`` from the model."""
+    """Waiting-time vectors of length ``m_count``, one per row of ``uniforms``.
+
+    ``uniforms`` has shape ``(count, uniforms_per_sequence(model, m_count))``
+    and holds draws from [0, 1); the result has shape ``(count, m_count)``.
+    """
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.ndim != 2 or uniforms.shape[1] != uniforms_per_sequence(model, m_count):
+        raise ValueError("uniforms must have one row per sequence and one column per draw")
     if isinstance(model, Fixed):
-        return np.full(m_count, model.tau_bar)
+        return np.full((len(uniforms), m_count), model.tau_bar)
+    taus = model.dist.values[draw_indices(np.array(draw_table(model.dist.probs)), uniforms)]
     if isinstance(model, Quenched):
-        tau = model.dist.values[draw_index(rng, draw_table(model.dist.probs))]
-        return np.full(m_count, tau)
-    if isinstance(model, Annealed):
-        cum = np.cumsum(model.dist.probs)
-        idx = np.searchsorted(cum, rng.random(m_count), side="right")
-        idx = np.minimum(idx, len(model.dist) - 1)
-        return model.dist.values[idx]
-    raise TypeError(f"unknown waiting-time model {model!r}")
+        return np.repeat(taus, m_count, axis=1)
+    return taus
 
 
 def enumerate_realizations(

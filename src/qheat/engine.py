@@ -18,26 +18,31 @@ after each one the state is a known basis vector and the outcome labels
 form a classical Markov chain: preparation ``|<k|n>|^2`` from the
 opening level ``n``, transitions ``T(tau)[k', k] = |<k'|U(tau)|k>|^2``
 between outcomes, readout ``|<m|k>|^2`` by the closing energy
-measurement. Monte Carlo samples this chain from probability tables;
-no state vector is propagated, and the first waiting time and the free
-evolution after the last measurement drop out.
+measurement. Monte Carlo samples this chain from cumulative probability
+tables, a whole seeded block of trajectories at a time: each step is one
+array lookup over the block, no state vector is propagated, and the first
+waiting time and the free evolution after the last measurement drop out.
+The block takes the same uniform draws, in the same order, as sampling
+its trajectories one after another would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .disorder import (
     Fixed,
     WaitingTimeModel,
-    draw_index,
+    draw_indices,
     draw_table,
     enumerate_realizations,
     sample_until_total_time,
     sample_waiting_times,
+    uniforms_per_sequence,
 )
 from .exceptions import EnumerationTooLargeError, IntervalCapError, MomentMismatchError
 from .operators import (
@@ -169,7 +174,8 @@ class _EnergyFrame:
     """Per-config working data in the energy eigenbasis.
 
     Exact enumeration uses the measurement vectors and the diagonal free
-    propagator; the sampler uses draw tables of the outcome chain.
+    propagator; the sampler uses ``draw_table`` rows of the outcome chain,
+    stacked into arrays so that a whole block is looked up at once.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -182,11 +188,13 @@ class _EnergyFrame:
         self.populations = energy_populations(config.rho0, config.h)
         self._phase_cache: dict[float, np.ndarray] = {}
         overlaps = self.basis_cols.real**2 + self.basis_cols.imag**2  # [n, k] = |<k|n>|^2
-        self.opening = draw_table(self.populations)
-        self.first = [draw_table(row) for row in overlaps]
-        self.readout = [draw_table(col) for col in overlaps.T]
-        # Keyed by waiting time; only support values of the law occur.
-        self._steps: dict[float, list] = {}
+        self.opening = np.array(draw_table(self.populations))
+        self.first = np.array([draw_table(row) for row in overlaps])
+        self.readout = np.array([draw_table(col) for col in overlaps.T])
+        model = config.model
+        self.support = (
+            np.array([model.tau_bar]) if isinstance(model, Fixed) else np.sort(model.dist.values)
+        )
 
     def phases(self, tau: float) -> np.ndarray:
         cached = self._phase_cache.get(tau)
@@ -195,40 +203,37 @@ class _EnergyFrame:
             self._phase_cache[tau] = cached
         return cached
 
-    def step(self, tau: float) -> list:
-        """Draw tables of ``T(tau)``, one per previous outcome."""
-        tables = self._steps.get(tau)
-        if tables is None:
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """Draw tables of ``T(tau)``: ``steps[j, k]`` follows outcome ``k`` after ``support[j]``."""
+        tables = []
+        for tau in self.support:
             phases = self.phases(tau)
-            tables = []
             for k in range(self.dim):
                 amps = self.basis_rows @ (phases * self.basis_cols[:, k])
                 tables.append(draw_table(amps.real**2 + amps.imag**2))
-            self._steps[tau] = tables
-        return tables
+        return np.array(tables).reshape(len(self.support), self.dim, self.dim)
 
+    def walk(self, u_open, taus, counts, u_steps, u_close) -> np.ndarray:
+        """Heats of a block of trajectories sampled on the outcome chain.
 
-def _run_steps(config: ProtocolConfig, rng: np.random.Generator, frame: _EnergyFrame) -> float:
-    """Heat of one trajectory sampled on the outcome chain.
-
-    Uniform draws are taken in protocol order: the opening level, the
-    waiting times, one per measurement outcome, and the closing level.
-    """
-    n = draw_index(rng, frame.opening)
-    if config.total_time is not None:
-        taus = sample_until_total_time(config.model, config.total_time, rng)[1]
-    else:
-        taus = sample_waiting_times(config.model, config.m_count, rng)
-    if len(taus) == 0:
-        # Nothing was measured in between, so the closing measurement
-        # finds level n again; it still takes its draw.
-        rng.random()
-        return 0.0
-    k = draw_index(rng, frame.first[n])
-    for tau in taus[1:]:
-        k = draw_index(rng, frame.step(tau)[k])
-    m = draw_index(rng, frame.readout[k])
-    return frame.evals[m] - frame.evals[n]
+        Row ``i`` measures ``counts[i]`` times at the waiting times
+        ``taus[i, :counts[i]]`` and draws the opening level from
+        ``u_open[i]``, the outcome of measurement ``s`` from
+        ``u_steps[i, s]`` and the closing level from ``u_close[i]``.
+        Entries past a row's count are ignored.
+        The first waiting time drops out: the state before the first
+        measurement is an energy eigenstate. A row that measures nothing
+        finds level n again and has heat 0.
+        """
+        n = draw_indices(self.opening, u_open)
+        k = draw_indices(self.first[n], u_steps[:, 0])
+        j = np.searchsorted(self.support, taus)
+        for i in range(1, taus.shape[1]):
+            nxt = draw_indices(self.steps[j[:, i], k], u_steps[:, i])
+            k = np.where(counts > i, nxt, k)
+        m = draw_indices(self.readout[k], u_close)
+        return np.where(counts > 0, self.evals[m] - self.evals[n], 0.0)
 
 
 def _check_interval_cap(config: ProtocolConfig):
@@ -263,14 +268,40 @@ def sample_heats_chunk(
     *,
     _frame: _EnergyFrame | None = None,
 ) -> np.ndarray:
-    """Heat values of one seeded trajectory block."""
+    """Heat values of one seeded trajectory block.
+
+    Each trajectory takes its uniform draws in protocol order: the opening
+    level, the waiting times, one per measurement outcome, and the closing
+    level (drawn even when nothing is measured). With an ``m_count``
+    schedule every trajectory takes the same number of draws, so the block
+    draws them as one matrix, one trajectory per row.
+    """
     _check_interval_cap(config)
     frame = _frame if _frame is not None else _EnergyFrame(config)
     rng = chunk_rng(config.seed, chunk_index)
-    out = np.empty(count)
+    if config.m_count is not None:
+        m_count = config.m_count
+        w = uniforms_per_sequence(config.model, m_count)
+        u = rng.random((count, 2 + w + m_count))
+        taus = sample_waiting_times(config.model, m_count, u[:, 1 : 1 + w])
+        counts = np.full(count, m_count)
+        return frame.walk(u[:, 0], taus, counts, u[:, 1 + w : -1], u[:, -1])
+    u_open, u_close = np.empty(count), np.empty(count)
+    rows = []
     for i in range(count):
-        out[i] = _run_steps(config, rng, frame)
-    return out
+        u_open[i] = rng.random()
+        taus = sample_until_total_time(config.model, config.total_time, rng)[1]
+        rows.append((taus, rng.random(len(taus))))
+        u_close[i] = rng.random()
+    counts = np.array([len(taus) for taus, _ in rows], dtype=int)
+    width = counts.max(initial=1)
+    # Padding stays past each row's count, where the walk ignores it.
+    taus = np.full((count, width), frame.support[0])
+    u_steps = np.zeros((count, width))
+    for i, (row_taus, row_u) in enumerate(rows):
+        taus[i, : len(row_taus)] = row_taus
+        u_steps[i, : len(row_u)] = row_u
+    return frame.walk(u_open, taus, counts, u_steps, u_close)
 
 
 def sample_heats(config: ProtocolConfig, n_traj: int) -> np.ndarray:

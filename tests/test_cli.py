@@ -1,8 +1,12 @@
 """Tests for the command-line interface and its file formats."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,11 @@ class TestConfigErrors:
                 },
                 "system",
             ),
+            ({"n_traj": "100"}, "<root>.n_traj"),
+            ({"n_traj": 2.7}, "<root>.n_traj"),
+            ({"moments": 3}, "<root>.moments"),
+            ({"moments": [7]}, "<root>.moments"),
+            ({"u_grid": 1.0}, "<root>.u_grid"),
         ],
     )
     def test_bad_value_named_without_traceback(self, tmp_path, capsys, overrides, field):
@@ -215,6 +224,17 @@ class TestConfigErrors:
         spec = base_spec(system={"kind": "spin-chain"})
         assert cli.main(["simulate", "--config", write_spec(tmp_path, spec)]) == cli.CONFIG_ERROR
         assert "system.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "exact"])
+    def test_non_finite_exp_avg_named(self, tmp_path, capsys, command):
+        # exp(-beta*q) overflows at beta = 800 for the heat -2.
+        out = tmp_path / "out.csv"
+        cfg = write_spec(tmp_path, base_spec(beta=800, u_grid=[0.0]))
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config field '<root>.beta'" in err and "not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestFigures:
@@ -293,6 +313,39 @@ class TestFigures:
         _, _, rows = read_csv(out)
         assert len(rows) == 4  # 3 grid points plus the thermal crossing
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"c1_points": "x"}, "figure.c1_points"),
+            ({"c1_pointz": 3}, "figure.c1_pointz"),
+            ({"n_traj": 2.5}, "figure.n_traj"),
+            ({"a_values": [0.0, "x"]}, "figure.a_values"),
+            ({"tau_bar": True}, "figure.tau_bar"),
+        ],
+    )
+    def test_bad_override_named(self, tmp_path, capsys, overrides, field):
+        code = cli.main(["figure", "fig1", "--config", write_spec(tmp_path, overrides)])
+        err = capsys.readouterr().err
+        assert code == cli.CONFIG_ERROR
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
+
+    def test_int_override_fits_float_default(self, tmp_path):
+        cfg = write_spec(tmp_path, {"tau_bar": 1, "n_traj": 20, "c1_points": 2})
+        assert cli.main(["figure", "fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_benchmark_tiny_overrides_are_valid(self, tmp_path, monkeypatch):
+        # The benchmark's warm-up and smoke runs pass these overrides.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for argv in workloads.FIGURES:
+            cfg = write_spec(tmp_path, workloads.TINY_FIGURE_OVERRIDES[argv[0]])
+            out = str(tmp_path / "out.csv")
+            assert cli.main(["figure", *argv, "--config", cfg, "--out", out]) == 0
+
     def test_figure_determinism(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -313,3 +366,70 @@ class TestVerifyCommand:
     def test_seed_recorded_in_report(self, capsys):
         assert cli.main(["verify", "--quick", "--seed", "5"]) == 0
         assert "seed=5" in capsys.readouterr().out
+
+
+# A real orthonormal basis and a complex Hermitian Hamiltonian in d = 3.
+_R3, _R2, _R6 = math.sqrt(1 / 3), math.sqrt(1 / 2), math.sqrt(1 / 6)
+D3_SYSTEM = {
+    "kind": "matrix",
+    "hamiltonian": [
+        [[-1.0, 0.0], [0.2, 0.1], [0.0, 0.0]],
+        [[0.2, -0.1], [0.1, 0.0], [0.3, 0.0]],
+        [[0.0, 0.0], [0.3, 0.0], [1.0, 0.0]],
+    ],
+    "basis": [
+        [[_R3, 0.0], [_R2, 0.0], [_R6, 0.0]],
+        [[_R3, 0.0], [-_R2, 0.0], [_R6, 0.0]],
+        [[_R3, 0.0], [0.0, 0.0], [-2 * _R6, 0.0]],
+    ],
+    "rho0": [
+        [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]],
+    ],
+}
+
+
+class TestGoldenDigests:
+    """sha256 of the CSV bytes for fixed seeds, pinned across versions.
+
+    Re-running one build only shows determinism; these digests also pin
+    the seed-to-bytes contract, so a change to the uniform stream, the
+    sampler's arithmetic or the CSV format shows here.
+    """
+
+    CASES = {
+        "simulate-tls-annealed": (
+            ["simulate"],
+            base_spec(
+                model={"kind": "annealed", "values": [0.01, 3.0], "probs": [0.3, 0.7]},
+                n_traj=5000,
+                seed=2018,
+            ),
+            "661685c7fce6fe738a11b891385394ceb273e7cfb1b9bea3f0d137e9043e2e83",
+        ),
+        "simulate-d3-total-time": (
+            ["simulate"],
+            base_spec(
+                system=D3_SYSTEM,
+                model={"kind": "annealed", "values": [0.4, 3.5], "probs": [0.6, 0.4]},
+                schedule={"total_time": 3.0},
+                beta=0.5,
+                n_traj=3000,
+                seed=5,
+            ),
+            "a4c614c6787a0a54ad8c6c1f20b3b49fad6b50b99f3f4daf08f2adfd17cd1ef5",
+        ),
+        "figure-fig1": (
+            ["figure", "fig1"],
+            {"c1_points": 3, "n_traj": 300},
+            "72492311d0f674472f3bd1fd159c5f1ec487da3ed86541810796226fc1dd99d0",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_digest(self, tmp_path, case):
+        argv, spec, digest = self.CASES[case]
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--config", write_spec(tmp_path, spec), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

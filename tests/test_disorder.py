@@ -11,16 +11,26 @@ from qheat.disorder import (
     DiscreteWaitingDist,
     Fixed,
     Quenched,
+    draw_index,
+    draw_indices,
+    draw_table,
     enumerate_realizations,
     mean_waiting_time,
     sample_until_total_time,
     sample_waiting_times,
+    uniforms_per_sequence,
 )
 from qheat.exceptions import EnumerationTooLargeError
 
 
 def bimodal(tau1=0.01, tau2=3.0, p1=0.3):
     return DiscreteWaitingDist.bimodal(tau1, tau2, p1)
+
+
+def one_sequence(model, m_count, rng):
+    """A single waiting-time vector drawn from ``rng``."""
+    w = uniforms_per_sequence(model, m_count)
+    return sample_waiting_times(model, m_count, rng.random((1, w)))[0]
 
 
 class TestDiscreteWaitingDist:
@@ -60,38 +70,82 @@ class TestDiscreteWaitingDist:
         assert d.mean() == pytest.approx(3.0 * (0.4 * 0.1 + 0.6 * 0.5))
 
 
+class FixedUniform:
+    """Stands in for a Generator whose next uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestDrawTables:
+    # Row sum 0.1 * 10 rounds to 0.9999999999999999.
+    SHORT = [0.1] * 10
+    CASES = [
+        # Zero entries at the start, middle and end.
+        ([0.0, 0.25, 0.0, 0.75, 0.0], [(0.0, 1), (0.2, 1), (0.25, 3), (0.5, 3), (0.99, 3)]),
+        ([0.5, 0.0, 0.5], [(0.0, 0), (0.4999, 0), (0.5, 2), (0.9, 2)]),
+        (SHORT + [0.0], [(0.1, 1), (0.30000000000000004, 3), (0.3, 2), (np.nextafter(1.0, 0.0), 9)]),
+    ]
+
+    @pytest.mark.parametrize("probs, picks", CASES, ids=["zeros", "middle-zero", "short-sum"])
+    def test_array_lookup_matches_scalar_draw(self, probs, picks):
+        table = draw_table(probs)
+        uniforms = np.array([u for u, _ in picks])
+        expected = [index for _, index in picks]
+        assert [draw_index(FixedUniform(u), table) for u in uniforms] == expected
+        # One table shared by every uniform, and one table per uniform.
+        assert draw_indices(np.array(table), uniforms).tolist() == expected
+        per_row = np.tile(table, (len(uniforms), 1))
+        assert draw_indices(per_row, uniforms).tolist() == expected
+
+    def test_short_row_sum_rounds_below_one(self):
+        # A finite last total would leave the largest uniform below 1 unmatched.
+        assert math.fsum(self.SHORT) == 1.0 and sum(self.SHORT) <= np.nextafter(1.0, 0.0)
+
+
 class TestSampleWaitingTimes:
     def test_fixed(self):
         rng = np.random.default_rng(0)
-        assert np.array_equal(
-            sample_waiting_times(Fixed(0.5), 4, rng), np.full(4, 0.5)
-        )
+        assert np.array_equal(one_sequence(Fixed(0.5), 4, rng), np.full(4, 0.5))
 
     def test_quenched_degenerate(self):
         rng = np.random.default_rng(0)
         model = Quenched(DiscreteWaitingDist(np.array([0.7]), np.array([1.0])))
         for _ in range(10):
-            assert np.array_equal(sample_waiting_times(model, 3, rng), np.full(3, 0.7))
+            assert np.array_equal(one_sequence(model, 3, rng), np.full(3, 0.7))
 
     def test_quenched_is_constant_within_sequence(self):
         rng = np.random.default_rng(1)
-        model = Quenched(bimodal())
-        for _ in range(20):
-            taus = sample_waiting_times(model, 6, rng)
-            assert np.all(taus == taus[0])
+        taus = sample_waiting_times(Quenched(bimodal()), 6, rng.random((20, 1)))
+        assert np.all(taus == taus[:, :1])
+        assert set(taus[:, 0].tolist()) == {0.01, 3.0}
 
     def test_annealed_frequency(self):
         # Binomial confidence oracle on the empirical atom frequency.
         rng = np.random.default_rng(2)
         n = 100_000
-        taus = sample_waiting_times(Annealed(bimodal(0.01, 3.0, 0.3)), n, rng)
+        taus = one_sequence(Annealed(bimodal(0.01, 3.0, 0.3)), n, rng)
         freq = np.mean(taus == 0.01)
         sigma = math.sqrt(0.3 * 0.7 / n)
         assert abs(freq - 0.3) < 3 * sigma
 
+    def test_rows_are_independent_sequences(self):
+        # A block of rows equals the same rows drawn one at a time.
+        model = Annealed(bimodal(0.2, 1.1, 0.4))
+        block = sample_waiting_times(model, 4, np.random.default_rng(8).random((50, 4)))
+        rng = np.random.default_rng(8)
+        assert np.array_equal(block, [one_sequence(model, 4, rng) for _ in range(50)])
+
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
-            sample_waiting_times(Fixed(1.0), 0, np.random.default_rng(0))
+            sample_waiting_times(Fixed(1.0), 0, np.empty((1, 0)))
+
+    def test_rejects_wrong_uniform_width(self):
+        with pytest.raises(ValueError):
+            sample_waiting_times(Annealed(bimodal()), 3, np.zeros((5, 2)))
 
 
 class TestEnumerateRealizations:
@@ -141,8 +195,8 @@ class TestEnumerateRealizations:
         keys = {tuple(r.taus): i for i, r in enumerate(reals)}
         counts = np.zeros(len(reals))
         n = 100_000
-        for _ in range(n):
-            counts[keys[tuple(sample_waiting_times(model, m, rng))]] += 1
+        for taus in sample_waiting_times(model, m, rng.random((n, m))):
+            counts[keys[tuple(taus)]] += 1
         expected = n * np.array([r.weight for r in reals])
         assert stats.chisquare(counts, expected).pvalue > 0.01
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qheat.disorder import (
     Quenched,
     sample_until_total_time,
     sample_waiting_times,
+    uniforms_per_sequence,
 )
 from qheat.engine import (
     HeatDistribution,
@@ -121,7 +123,8 @@ def state_vector_heats(config, chunk_index, count):
             _, taus = sample_until_total_time(config.model, config.total_time, rng)
             remainder = config.total_time - taus.sum()
         else:
-            taus = sample_waiting_times(config.model, config.m_count, rng)
+            w = uniforms_per_sequence(config.model, config.m_count)
+            taus = sample_waiting_times(config.model, config.m_count, rng.random((1, w)))[0]
             remainder = 0.0
         state = np.zeros(h.dim, dtype=complex)
         state[n] = 1.0
@@ -134,36 +137,62 @@ def state_vector_heats(config, chunk_index, count):
     return heats, counts
 
 
-def haar_d3_total_time_config():
+def haar_d3_config(model=None, total_time=2.0, m_count=None):
     rng = np.random.default_rng(41)
     h = random_hermitian(3, rng)
     return ProtocolConfig(
         h=h,
         basis=random_basis(3, rng),
         rho0=DensityMatrix.thermal(h, 0.6),
-        model=Annealed(bimodal(0.4, 2.5, 0.5)),
+        model=model or Annealed(bimodal(0.4, 2.5, 0.5)),
         beta=0.6,
         seed=17,
-        total_time=2.0,
+        total_time=total_time,
+        m_count=m_count,
     )
+
+
+def tls_total_time_config(model, total_time, seed):
+    counted = tls_config(model=model, seed=seed)
+    return replace(counted, m_count=None, total_time=total_time)
 
 
 class TestStateVectorOracle:
     @pytest.mark.parametrize(
-        "config",
+        "config, counts",
         [
-            tls_config(m=5, model=Fixed(0.7), seed=3),
-            tls_config(m=5, model=Quenched(bimodal()), seed=4),
-            tls_config(m=5, model=Annealed(bimodal()), seed=5),
-            haar_d3_total_time_config(),
+            (tls_config(m=5, model=Fixed(0.7), seed=3), None),
+            (tls_config(m=5, model=Quenched(bimodal()), seed=4), None),
+            (tls_config(m=5, model=Annealed(bimodal()), seed=5), None),
+            (haar_d3_config(), (0, 3)),
+            (tls_config(m=1, model=Annealed(bimodal()), seed=6), None),
+            (haar_d3_config(Quenched(bimodal(0.4, 2.5, 0.5)), total_time=2.0), (0, 3)),
+            # Every waiting time overshoots the budget: only count-0 rows.
+            (tls_total_time_config(Fixed(3.0), 2.0, seed=7), (0, 0)),
+            (haar_d3_config(Annealed(bimodal(0.3, 1.1, 0.5)), None, m_count=4), None),
+            # Energy-basis tables hold zero-probability entries.
+            (energy_basis_config(m=4, seed=8), None),
+            (tls_config(c1=0.0, m=5, model=Annealed(bimodal()), seed=9), None),
         ],
-        ids=["tls-fixed", "tls-quenched", "tls-annealed", "haar-d3-total-time"],
+        ids=[
+            "tls-fixed",
+            "tls-quenched",
+            "tls-annealed",
+            "haar-d3-total-time",
+            "tls-m1",
+            "haar-d3-quenched-total-time",
+            "tls-all-zero-counts",
+            "haar-d3-annealed-m4",
+            "energy-basis",
+            "tls-c1-zero",
+        ],
     )
-    def test_chain_sampler_matches_seed_for_seed(self, config):
-        heats, counts = state_vector_heats(config, 2, 1500)
+    def test_chain_sampler_matches_seed_for_seed(self, config, counts):
+        heats, measured = state_vector_heats(config, 2, 1500)
         assert np.array_equal(sample_heats_chunk(config, 2, 1500), heats)
-        if config.total_time is not None:
-            assert counts.min() == 0 and counts.max() >= 3
+        if counts is not None:
+            # The case reaches the count-0 path and rows of at least counts[1] steps.
+            assert measured.min() == counts[0] and measured.max() >= counts[1]
 
 
 class TestSampling:
