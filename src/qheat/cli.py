@@ -340,6 +340,23 @@ def _fits(value, default) -> bool:
     return type(value) is type(default)
 
 
+# Range of a figure override, checked after its type: (test, rule).
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FIGURE_RANGES = {
+    "a_step": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "supports": (lambda v: len(v) == 2 and min(v) > 0 and v[0] != v[1], "must be two distinct positive values"),
+    "p1": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "p1_values": (lambda v: all(0 <= x <= 1 for x in v), "must all lie in [0, 1]"),
+    "m_count": _AT_LEAST_ONE,
+    "m_values": (lambda v: all(x >= 1 for x in v), "must all be >= 1"),
+    "n_traj": (lambda v: v >= 2, "must be >= 2"),
+    "c1_points": _AT_LEAST_ONE,
+    "mean_points": _AT_LEAST_ONE,
+    "scale_points": _AT_LEAST_ONE,
+    "a_sq_points": _AT_LEAST_ONE,
+}
+
+
 def cmd_figure(which: str, overrides: dict, seed: int, inset: bool = False) -> ResultTable:
     """Reference curves for the standard parameter sets, as plot-ready CSV."""
     if which not in FIGURE_DEFAULTS:
@@ -350,6 +367,10 @@ def cmd_figure(which: str, overrides: dict, seed: int, inset: bool = False) -> R
             raise ConfigError(f"figure.{key}", f"not a parameter of {which}")
         if not _fits(value, defaults[key]):
             raise ConfigError(f"figure.{key}", f"expected the type of the default {defaults[key]!r}")
+        if key in _FIGURE_RANGES:
+            test, rule = _FIGURE_RANGES[key]
+            if not test(value):
+                raise ConfigError(f"figure.{key}", rule)
     params = {**defaults, **overrides}
 
     if which == "fig1":

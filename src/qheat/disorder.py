@@ -18,6 +18,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,43 +226,218 @@ def enumerate_realizations(
 # Relative slack when testing whether a partial sum still fits the budget,
 # so that exact divisors are kept despite float accumulation noise.
 _TOTAL_TIME_REL_TOL = 1e-12
+# Uniforms ``sample_until_total_time`` draws at a time. A piece grows past
+# this only to hold one trajectory that does not fit in it.
+RENEWAL_PIECE = 1 << 13
+
+
+class RenewalDraws(NamedTuple):
+    """Uniform draws of a block of fixed-total-time trajectories, one row each.
+
+    Row ``i`` measures ``counts[i]`` times, at the waiting times
+    ``taus[i, :counts[i]]`` with outcome draws ``u_steps[i, :counts[i]]``;
+    both are zero past the count and at least one column wide.
+    """
+
+    intervals: int
+    counts: np.ndarray
+    u_open: np.ndarray
+    taus: np.ndarray
+    u_steps: np.ndarray
+    u_close: np.ndarray
+
+
+def _count_within(steps: np.ndarray, limit: float) -> int:
+    """Leading partial sums of ``steps`` that are <= ``limit``.
+
+    ``np.cumsum`` adds left to right, as a scalar ``elapsed += step`` loop
+    does, so the sums and the count are the same to the bit.
+    """
+    return int(np.searchsorted(np.cumsum(steps), limit, side="right"))
+
+
+def _ragged(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices ``first[i] .. first[i] + lengths[i] - 1`` of every row, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(offsets[-1] + lengths[-1]) + np.repeat(first - offsets, lengths)
+
+
+def _chase(jump: np.ndarray, rows: int) -> np.ndarray:
+    """Positions ``0, jump[0], jump[jump[0]], ...``, ``rows + 1`` of them.
+
+    Pointer doubling: position ``i`` applies ``jump`` composed ``2**b``
+    times for every set bit ``b`` of ``i``.
+    """
+    starts = np.zeros(rows + 1, dtype=np.intp)
+    hops = np.arange(rows + 1)
+    while True:
+        odd = (hops & 1).astype(bool)
+        starts[odd] = jump[starts[odd]]
+        hops >>= 1
+        if not hops.any():
+            return starts
+        jump = jump[jump]
+
+
+class _RenewalStream:
+    """Layout of fixed-total-time trajectories in one uniform stream.
+
+    A trajectory starting at position ``p`` takes, in order: the opening
+    draw at ``p``, its waiting-time draws from ``p + 1`` (annealed: one
+    per retained interval and one for the interval that overshoots;
+    quenched: one; fixed: none), one outcome draw per retained interval,
+    and the closing draw.
+    """
+
+    def __init__(self, model: WaitingTimeModel, total_time: float):
+        self.model = model
+        self.limit = total_time * (1.0 + _TOTAL_TIME_REL_TOL)
+        if isinstance(model, Fixed):
+            self.values = np.array([model.tau_bar])
+            probs = np.ones(1)
+        elif isinstance(model, (Quenched, Annealed)):
+            self.values, probs = model.dist.values, model.dist.probs
+        else:
+            raise TypeError(f"unknown waiting-time model {model!r}")
+        self.table = np.array(draw_table(probs))
+        # Values without probability are never drawn, and the interval cap
+        # does not bound their counts.
+        self.shortest = self.values[probs > 0].min()
+        if isinstance(model, Annealed):
+            # About the renewal mean count.
+            self.mean_length = self.length(total_time / model.dist.mean())
+        else:
+            # Exact count of a trajectory that repeats one waiting time.
+            self.repeats = np.array(
+                [
+                    _count_within(np.full(int(self.limit // v) + 2, v), self.limit) if p > 0 else 0
+                    for v, p in zip(self.values, probs)
+                ]
+            )
+            self.mean_length = float(probs @ self.length(self.repeats))
+
+    def length(self, counts: np.ndarray) -> np.ndarray:
+        """Draws a trajectory with ``counts`` retained intervals takes."""
+        if isinstance(self.model, Annealed):
+            return 2 * counts + 3
+        return counts + 2 + isinstance(self.model, Quenched)
+
+    def counts(self, u: np.ndarray, steps: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Count of a trajectory starting at each position of ``u``, and whether it is unsure.
+
+        A count near the end of ``u`` may be cut short; the trajectory then
+        runs past the end. Annealed counts come from one running sum over
+        ``u``, which rounds differently from a trajectory's own sum: they
+        are upper bounds, exact unless marked unsure.
+        """
+        n = len(u)
+        unsure = np.zeros(n, dtype=bool)
+        if isinstance(self.model, Fixed):
+            return np.full(n, self.repeats[0]), unsure
+        if isinstance(self.model, Quenched):
+            return np.append(self.repeats[draw_indices(self.table, u[1:])], 0), unsure
+        # sums[q] is the running total of the waiting times drawn at
+        # positions before q, so the partial sums of a trajectory whose
+        # waiting times start at s are sums[s + k] - sums[s].
+        sums = np.zeros(n + 1, dtype=np.longdouble)
+        np.cumsum(steps, dtype=np.longdouble, out=sums[1:])
+        # These differences and a trajectory's own double-precision sum
+        # both round by at most a unit in the last place per interval, so
+        # counts at limit - delta and limit + delta bracket the exact one.
+        most = self.limit / self.shortest + 2
+        delta = 4 * most * (
+            np.finfo(float).eps * 2 * self.limit
+            + np.finfo(np.longdouble).eps * (float(sums[-1]) + self.limit)
+        )
+        high = np.searchsorted(sums, sums[1:] + (self.limit + delta), side="right")
+        # The two counts differ exactly when the last sum counted lies above limit - delta.
+        unsure = sums[high - 1] > sums[1:] + (self.limit - delta)
+        return high - np.arange(2, n + 2), unsure
+
+    def steps(self, u: np.ndarray) -> np.ndarray:
+        """The waiting time each uniform of ``u`` selects."""
+        return self.values[draw_indices(self.table, u)]
+
+    def taus(self, u: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Retained waiting times of the trajectories at ``starts``, concatenated."""
+        if isinstance(self.model, Annealed):
+            return self.steps(u[_ragged(starts + 1, counts)])
+        if isinstance(self.model, Quenched):
+            return np.repeat(self.steps(u[starts + 1]), counts)
+        return np.repeat(self.values, counts.sum())
+
+    def parse(self, u: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Starts and counts of the leading trajectories complete in ``u``, at most ``rows``."""
+        n = len(u)
+        steps = self.steps(u) if isinstance(self.model, Annealed) else None
+        counts, unsure = self.counts(u, steps)
+        # jump[p]: where the trajectory starting at p ends, or n + 1 when it
+        # does not fit; n + 1 is absorbing, so the chase stops there.
+        jump = np.minimum(np.arange(n + 2) + np.append(self.length(counts), [1, 0]), n + 1)
+        while True:
+            starts = _chase(jump, rows)
+            done = int(np.count_nonzero(starts[1:] <= n))
+            starts = starts[:done]
+            recheck = starts[unsure[starts]]
+            if not recheck.size:
+                return starts, counts[starts]
+            for p in recheck.tolist():
+                counts[p] = _count_within(steps[p + 1 : p + 2 + counts[p]], self.limit)
+            unsure[recheck] = False
+            jump[recheck] = recheck + self.length(counts[recheck])
 
 
 def sample_until_total_time(
-    model: WaitingTimeModel, total_time: float, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Draw waiting times until the next one would overshoot ``total_time``.
+    model: WaitingTimeModel, total_time: float, rng: np.random.Generator, count: int
+) -> RenewalDraws:
+    """Uniform draws of ``count`` fixed-total-time trajectories from ``rng``.
 
-    Returns the number of retained intervals and the intervals
-    themselves; every retained partial sum is <= total_time (a draw
+    A trajectory draws waiting times until the next one would overshoot
+    ``total_time``: every retained partial sum is <= total_time (a draw
     landing exactly on the budget is kept). The count may be zero if the
     very first interval is already too long; the protocol then consists
     of the two energy measurements only.
+
+    The trajectories take their uniforms one after another, each in
+    protocol order: the opening level, the waiting times (annealed: one
+    per retained interval and one for the interval that overshoots;
+    quenched: one; fixed: none), one outcome per retained interval, and
+    the closing level. The uniforms are drawn in pieces of
+    ``RENEWAL_PIECE`` and parsed with array operations, with the same
+    draws and the same partial sums, to the bit, as drawing each
+    trajectory with scalar ``rng.random()`` calls. ``rng`` is left past
+    the block's draws and should not be used again.
     """
     if not (total_time > 0 and np.isfinite(total_time)):
         raise ValueError("total_time must be positive and finite")
-    limit = total_time * (1.0 + _TOTAL_TIME_REL_TOL)
-
-    if isinstance(model, Fixed):
-        draw = lambda: model.tau_bar  # noqa: E731
-    elif isinstance(model, Quenched):
-        tau = model.dist.values[draw_index(rng, draw_table(model.dist.probs))]
-        draw = lambda: tau  # noqa: E731
-    elif isinstance(model, Annealed):
-        table = draw_table(model.dist.probs)
-        draw = lambda: model.dist.values[draw_index(rng, table)]  # noqa: E731
-    else:
-        raise TypeError(f"unknown waiting-time model {model!r}")
-
-    taus: list[float] = []
-    elapsed = 0.0
-    while True:
-        step = draw()
-        if elapsed + step > limit:
-            break
-        taus.append(step)
-        elapsed += step
-    return len(taus), np.array(taus, dtype=float)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    stream = _RenewalStream(model, total_time)
+    parts = []
+    u = np.empty(0)
+    left = count
+    while left:
+        # About what the remaining trajectories need, within the piece size,
+        # and more when one trajectory does not fit in what is held.
+        need = int(1.05 * left * stream.mean_length) + 16
+        u = np.concatenate([u, rng.random(max(min(need, RENEWAL_PIECE), len(u)))])
+        starts, counts = stream.parse(u, left)
+        if not starts.size:
+            continue
+        close = starts + stream.length(counts) - 1
+        # The outcome draws are the ``counts`` draws just before the closing one.
+        parts.append(
+            (counts, u[starts], stream.taus(u, starts, counts), u[_ragged(close - counts, counts)], u[close])
+        )
+        u = u[close[-1] + 1 :]
+        left -= len(starts)
+    counts, u_open, flat_taus, flat_steps, u_close = (np.concatenate(x) for x in zip(*parts))
+    width = max(int(counts.max()), 1)
+    cells = _ragged(np.arange(count) * width, counts)
+    taus, u_steps = np.zeros((count, width)), np.zeros((count, width))
+    taus.flat[cells] = flat_taus
+    u_steps.flat[cells] = flat_steps
+    return RenewalDraws(len(cells), counts, u_open, taus, u_steps, u_close)
 
 
 def mean_waiting_time(model: WaitingTimeModel) -> float:

@@ -23,7 +23,10 @@ tables, a whole seeded block of trajectories at a time: each step is one
 array lookup over the block, no state vector is propagated, and the first
 waiting time and the free evolution after the last measurement drop out.
 The block takes the same uniform draws, in the same order, as sampling
-its trajectories one after another would.
+its trajectories one after another would. With a fixed total time the
+measurement count of each trajectory is random; ``sample_until_total_time``
+parses the whole block's uniform stream into trajectories with array
+operations, once per block, and the walk masks each row past its count.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ CHUNK_SIZE = 1024
 # (total_time / shortest waiting time); each is one draw and one stored
 # interval, so a run past it would effectively hang.
 MAX_INTERVALS = 10**5
+# Most uniforms an m_count block draws at once (16 MB); a block of longer
+# trajectories is drawn and walked in row sub-batches.
+MAX_BLOCK_UNIFORMS = 2**21
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,34 +280,28 @@ def sample_heats_chunk(
     level, the waiting times, one per measurement outcome, and the closing
     level (drawn even when nothing is measured). With an ``m_count``
     schedule every trajectory takes the same number of draws, so the block
-    draws them as one matrix, one trajectory per row.
+    draws them as one matrix, one trajectory per row, in row sub-batches
+    of at most ``MAX_BLOCK_UNIFORMS`` uniforms. With a ``total_time``
+    schedule ``sample_until_total_time`` draws and parses the block.
     """
     _check_interval_cap(config)
     frame = _frame if _frame is not None else _EnergyFrame(config)
     rng = chunk_rng(config.seed, chunk_index)
-    if config.m_count is not None:
-        m_count = config.m_count
-        w = uniforms_per_sequence(config.model, m_count)
-        u = rng.random((count, 2 + w + m_count))
+    if config.total_time is not None:
+        draws = sample_until_total_time(config.model, config.total_time, rng, count)
+        return frame.walk(draws.u_open, draws.taus, draws.counts, draws.u_steps, draws.u_close)
+    m_count = config.m_count
+    w = uniforms_per_sequence(config.model, m_count)
+    width = 2 + w + m_count
+    # Row sub-batches take the same stream as one (count, width) draw.
+    rows = max(1, MAX_BLOCK_UNIFORMS // width)
+    heats = []
+    for start in range(0, count, rows):
+        u = rng.random((min(rows, count - start), width))
         taus = sample_waiting_times(config.model, m_count, u[:, 1 : 1 + w])
-        counts = np.full(count, m_count)
-        return frame.walk(u[:, 0], taus, counts, u[:, 1 + w : -1], u[:, -1])
-    u_open, u_close = np.empty(count), np.empty(count)
-    rows = []
-    for i in range(count):
-        u_open[i] = rng.random()
-        taus = sample_until_total_time(config.model, config.total_time, rng)[1]
-        rows.append((taus, rng.random(len(taus))))
-        u_close[i] = rng.random()
-    counts = np.array([len(taus) for taus, _ in rows], dtype=int)
-    width = counts.max(initial=1)
-    # Padding stays past each row's count, where the walk ignores it.
-    taus = np.full((count, width), frame.support[0])
-    u_steps = np.zeros((count, width))
-    for i, (row_taus, row_u) in enumerate(rows):
-        taus[i, : len(row_taus)] = row_taus
-        u_steps[i, : len(row_u)] = row_u
-    return frame.walk(u_open, taus, counts, u_steps, u_close)
+        counts = np.full(len(u), m_count)
+        heats.append(frame.walk(u[:, 0], taus, counts, u[:, 1 + w : -1], u[:, -1]))
+    return np.concatenate(heats)
 
 
 def sample_heats(config: ProtocolConfig, n_traj: int) -> np.ndarray:

@@ -20,6 +20,16 @@ def write_spec(tmp_path, spec, name="spec.json"):
     return str(path)
 
 
+def load_perfbench(monkeypatch, name):
+    """A module of the benchmark harness in ``perfbench/``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def base_spec(**overrides):
     spec = {
         "system": {"kind": "tls", "energy": 1.0, "a_sq": 0.25, "excited_pop": 0.3},
@@ -330,17 +340,43 @@ class TestFigures:
         assert f"config field '{field}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, overrides, field",
+        [
+            (["fig2", "--inset"], {"a_step": 0.0}, "figure.a_step"),
+            (["fig2", "--inset"], {"a_step": -0.1}, "figure.a_step"),
+            (["fig2", "--inset"], {"a_step": 1.5}, "figure.a_step"),
+            (["fig2"], {"supports": [1.0]}, "figure.supports"),
+            (["fig2"], {"supports": [1.0, 1.0]}, "figure.supports"),
+            (["fig3"], {"supports": [-0.1, 1.5]}, "figure.supports"),
+            (["fig2"], {"p1": 1.5}, "figure.p1"),
+            (["fig4"], {"p1_values": [0.5, -0.1]}, "figure.p1_values"),
+            (["fig2", "--inset"], {"m_count": 0}, "figure.m_count"),
+            (["fig5"], {"m_values": [2, 0]}, "figure.m_values"),
+            (["fig1"], {"n_traj": 1}, "figure.n_traj"),
+            (["fig1"], {"c1_points": 0}, "figure.c1_points"),
+            (["fig3"], {"mean_points": 0}, "figure.mean_points"),
+            (["fig4"], {"scale_points": 0}, "figure.scale_points"),
+            (["fig5"], {"a_sq_points": 0}, "figure.a_sq_points"),
+        ],
+    )
+    def test_override_out_of_range_named(self, tmp_path, capsys, argv, overrides, field):
+        out = tmp_path / "out.csv"
+        cfg = write_spec(tmp_path, overrides)
+        code = cli.main(["figure", *argv, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.CONFIG_ERROR
+        assert f"config field '{field}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_int_override_fits_float_default(self, tmp_path):
         cfg = write_spec(tmp_path, {"tau_bar": 1, "n_traj": 20, "c1_points": 2})
         assert cli.main(["figure", "fig1", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_benchmark_tiny_overrides_are_valid(self, tmp_path, monkeypatch):
         # The benchmark's warm-up and smoke runs pass these overrides.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench(monkeypatch, "workloads")
         for argv in workloads.FIGURES:
             cfg = write_spec(tmp_path, workloads.TINY_FIGURE_OVERRIDES[argv[0]])
             out = str(tmp_path / "out.csv")
@@ -420,6 +456,28 @@ class TestGoldenDigests:
             ),
             "a4c614c6787a0a54ad8c6c1f20b3b49fad6b50b99f3f4daf08f2adfd17cd1ef5",
         ),
+        "simulate-d3-quenched-total-time": (
+            ["simulate"],
+            base_spec(
+                system=D3_SYSTEM,
+                model={"kind": "quenched", "values": [0.4, 3.5], "probs": [0.6, 0.4]},
+                schedule={"total_time": 3.0},
+                beta=0.5,
+                n_traj=3000,
+                seed=6,
+            ),
+            "fdd726045ac9e78c825017fbe2f43d029528d312146ef6ead3e6a5264a8e7d52",
+        ),
+        "simulate-tls-fixed-total-time": (
+            ["simulate"],
+            base_spec(
+                model={"kind": "fixed", "tau_bar": 0.3},
+                schedule={"total_time": 2.0},
+                n_traj=3000,
+                seed=7,
+            ),
+            "d88f6547e7d14834a04b387ef93ee9196c3104ce01e4b0274e033284231363cd",
+        ),
         "figure-fig1": (
             ["figure", "fig1"],
             {"c1_points": 3, "n_traj": 300},
@@ -433,3 +491,34 @@ class TestGoldenDigests:
         out = tmp_path / "out.csv"
         assert cli.main([*argv, "--config", write_spec(tmp_path, spec), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestBenchmarkContract:
+    """A traced benchmark run fails when a per-layer metric its workload
+    requires goes unrecorded, or when a work count is not a plain number.
+    These tests run each workload's reduced-size operation under the
+    benchmark's tracer and check both, without timing anything.
+    """
+
+    @pytest.mark.parametrize("workload", ["mc_tls_paper", "mc_matrix_total_time", "exact_enum", "figures"])
+    def test_tiny_op_records_every_required_metric(self, tmp_path, monkeypatch, workload):
+        workloads = load_perfbench(monkeypatch, "workloads")
+        tracing = load_perfbench(monkeypatch, "tracer")
+        tracer = tracing.Tracer()
+        commands = workloads.build_op(workload, 1000, 1, tmp_path, tiny=True)
+        tracer.install()
+        try:
+            for j, command in enumerate(commands):
+                for path, text in command.files.items():
+                    path.write_text(text)
+                tracer.begin(1, j)
+                try:
+                    assert cli.main(command.argv) == 0
+                finally:
+                    tracer.end()
+        finally:
+            tracer.uninstall()
+        counts = [(name, value) for per in tracer.counts.values() for name, value in per.items()]
+        assert [name for name, value in counts if type(value) not in (int, float)] == []
+        recorded = set(tracing.summarize(tracer.spans)) | {name for name, value in counts if value > 0}
+        assert [name for name in tracing.REQUIRED[workload] if name not in recorded] == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qheat import disorder
 from qheat.disorder import (
     Annealed,
     DiscreteWaitingDist,
@@ -203,58 +204,75 @@ class TestEnumerateRealizations:
 
 class TestSampleUntilTotalTime:
     def test_fixed_exact_divisor_kept(self):
-        rng = np.random.default_rng(0)
-        m, taus = sample_until_total_time(Fixed(1.0), 5.0, rng)
-        assert m == 5
-        assert np.array_equal(taus, np.ones(5))
+        draws = sample_until_total_time(Fixed(1.0), 5.0, np.random.default_rng(0), 3)
+        assert draws.counts.tolist() == [5, 5, 5]
+        assert np.array_equal(draws.taus, np.ones((3, 5)))
 
     def test_fixed_floor(self):
-        rng = np.random.default_rng(0)
-        m, taus = sample_until_total_time(Fixed(2.0), 5.0, rng)
-        assert m == 2
+        draws = sample_until_total_time(Fixed(2.0), 5.0, np.random.default_rng(0), 3)
+        assert draws.counts.tolist() == [2, 2, 2]
 
     def test_fixed_floor_matches_non_integer_ratio(self):
         rng = np.random.default_rng(0)
         for tau, total in ((0.3, 2.0), (0.7, 5.0), (1.1, 10.0)):
-            m, _ = sample_until_total_time(Fixed(tau), total, rng)
-            assert m == math.floor(total / tau)
+            draws = sample_until_total_time(Fixed(tau), total, rng, 4)
+            assert np.all(draws.counts == math.floor(total / tau))
 
     def test_zero_count_when_first_draw_overshoots(self):
-        rng = np.random.default_rng(0)
-        m, taus = sample_until_total_time(Fixed(7.0), 5.0, rng)
-        assert m == 0
-        assert taus.size == 0
+        draws = sample_until_total_time(Fixed(7.0), 5.0, np.random.default_rng(0), 3)
+        assert draws.intervals == 0
+        assert draws.counts.tolist() == [0, 0, 0]
+        assert draws.taus.shape == draws.u_steps.shape == (3, 1)
 
     def test_quenched_repeats_single_draw(self):
-        rng = np.random.default_rng(4)
         model = Quenched(bimodal(0.3, 0.9, 0.5))
-        for _ in range(20):
-            _, taus = sample_until_total_time(model, 5.0, rng)
-            assert np.all(taus == taus[0])
+        draws = sample_until_total_time(model, 5.0, np.random.default_rng(4), 20)
+        for row, count in zip(draws.taus, draws.counts):
+            assert np.all(row[:count] == row[0])
+        assert set(draws.counts.tolist()) == {16, 5}
 
     def test_annealed_renewal_mean(self):
         # Mean count sits near total/mean-interval; the asymptotic formula
         # carries an O(1) bias, covered by the per-sample spread.
-        rng = np.random.default_rng(5)
         model = Annealed(bimodal(0.1, 0.5, 0.5))
-        n = 20_000
-        counts = np.array(
-            [sample_until_total_time(model, 5.0, rng)[0] for _ in range(n)], dtype=float
-        )
+        counts = sample_until_total_time(model, 5.0, np.random.default_rng(5), 20_000).counts
         target = 5.0 / 0.3
         assert abs(counts.mean() - target) < 3 * counts.std()
         assert abs(counts.mean() - target) < 1.0
 
     def test_partial_sums_within_budget(self):
-        rng = np.random.default_rng(6)
         model = Annealed(bimodal(0.2, 1.1, 0.4))
-        for _ in range(200):
-            _, taus = sample_until_total_time(model, 3.0, rng)
-            assert np.all(np.cumsum(taus) <= 3.0 * (1 + 1e-12))
+        draws = sample_until_total_time(model, 3.0, np.random.default_rng(6), 200)
+        assert draws.intervals == draws.counts.sum()
+        for row, count in zip(draws.taus, draws.counts):
+            assert np.all(np.cumsum(row[:count]) <= 3.0 * (1 + 1e-12))
+            assert np.all(row[count:] == 0.0)
 
     def test_rejects_bad_total_time(self):
         with pytest.raises(ValueError):
-            sample_until_total_time(Fixed(1.0), 0.0, np.random.default_rng(0))
+            sample_until_total_time(Fixed(1.0), 0.0, np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Fixed(0.3),
+            Quenched(bimodal(0.3, 0.9, 0.5)),
+            Annealed(bimodal(0.2, 1.1, 0.4)),
+            Annealed(DiscreteWaitingDist(np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.0, 0.5]))),
+        ],
+        ids=["fixed", "quenched", "annealed", "annealed-zero-probability-value"],
+    )
+    def test_piece_size_does_not_change_draws(self, monkeypatch, model):
+        # Pieces smaller than one trajectory must grow; larger ones hold
+        # many trajectories and cut the last one short.
+        def draws():
+            return sample_until_total_time(model, 3.0, np.random.default_rng(8), 300)
+
+        reference = draws()
+        for piece in (1, 7, 64, 1000):
+            monkeypatch.setattr(disorder, "RENEWAL_PIECE", piece)
+            for got, want in zip(draws(), reference):
+                assert np.array_equal(got, want)
 
 
 def test_mean_waiting_time():

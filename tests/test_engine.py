@@ -7,13 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qheat import engine, tls
+from qheat import disorder, engine, tls
 from qheat.disorder import (
     Annealed,
     DiscreteWaitingDist,
     Fixed,
     Quenched,
-    sample_until_total_time,
     sample_waiting_times,
     uniforms_per_sequence,
 )
@@ -102,13 +101,40 @@ def _born_draw(rng, probs):
     return last
 
 
+def renewal_taus(model, total_time, rng):
+    """Waiting times drawn one at a time until the next would overshoot ``total_time``.
+
+    The scalar loop the block sampler must reproduce: partial sums are
+    added left to right and compared with the budget plus a relative
+    slack of 1e-12, so a sum landing exactly on the budget is kept.
+    """
+    limit = total_time * (1.0 + 1e-12)
+    if isinstance(model, Fixed):
+        draw = lambda: model.tau_bar  # noqa: E731
+    elif isinstance(model, Quenched):
+        tau = model.dist.values[_born_draw(rng, model.dist.probs)]
+        draw = lambda: tau  # noqa: E731
+    else:
+        draw = lambda: model.dist.values[_born_draw(rng, model.dist.probs)]  # noqa: E731
+    taus = []
+    elapsed = 0.0
+    while True:
+        step = draw()
+        if elapsed + step > limit:
+            break
+        taus.append(step)
+        elapsed += step
+    return np.array(taus, dtype=float)
+
+
 def state_vector_heats(config, chunk_index, count):
     """Reference sampler that propagates the pure state through every step.
 
     Same uniform stream as ``sample_heats_chunk``: opening level, waiting
     times, Born draws with collapse onto the measured vector, closing
     level after the free evolution of the remainder. Returns the heats
-    and the measurement count of each trajectory.
+    and the measurement count of each trajectory. Fixed-total-time
+    waiting times come from ``renewal_taus``, one trajectory at a time.
     """
     h = config.h
     evals = h.eigenvalues
@@ -120,7 +146,7 @@ def state_vector_heats(config, chunk_index, count):
     for i in range(count):
         n = _born_draw(rng, populations)
         if config.total_time is not None:
-            _, taus = sample_until_total_time(config.model, config.total_time, rng)
+            taus = renewal_taus(config.model, config.total_time, rng)
             remainder = config.total_time - taus.sum()
         else:
             w = uniforms_per_sequence(config.model, config.m_count)
@@ -157,6 +183,10 @@ def tls_total_time_config(model, total_time, seed):
     return replace(counted, m_count=None, total_time=total_time)
 
 
+def annealed(values, probs):
+    return Annealed(DiscreteWaitingDist(np.array(values), np.array(probs)))
+
+
 class TestStateVectorOracle:
     @pytest.mark.parametrize(
         "config, counts",
@@ -173,6 +203,28 @@ class TestStateVectorOracle:
             # Energy-basis tables hold zero-probability entries.
             (energy_basis_config(m=4, seed=8), None),
             (tls_config(c1=0.0, m=5, model=Annealed(bimodal()), seed=9), None),
+            (tls_total_time_config(Fixed(0.3), 2.0, seed=10), (6, 6)),
+            (haar_d3_config(Quenched(bimodal(0.3, 0.7, 0.5)), total_time=2.1), (3, 7)),
+            # Binary fractions: many partial sums land exactly on the budget.
+            (haar_d3_config(annealed([0.5, 1.0, 2.0], [0.3, 0.4, 0.3]), total_time=4.0), (2, 7)),
+            # Decimal fractions: the partial sums are not representable.
+            (haar_d3_config(annealed([0.1, 0.2, 0.3], [0.3, 0.4, 0.3]), total_time=1.0), (3, 8)),
+            (haar_d3_config(annealed([0.3, 0.5, 0.9], [0.5, 0.0, 0.5]), total_time=3.0), (3, 10)),
+            (haar_d3_config(annealed([2.5, 3.0], [0.5, 0.5]), total_time=2.0), (0, 0)),
+            # A value that is never drawn, far below the interval cap's shortest.
+            (
+                haar_d3_config(
+                    Quenched(DiscreteWaitingDist(np.array([1e-9, 0.3, 0.7]), np.array([0.0, 0.5, 0.5]))),
+                    total_time=2.1,
+                ),
+                (3, 7),
+            ),
+            # The budget plus its slack rounds to 4.0, so sums landing on 4.0
+            # sit on the limit and take the sampler's exact recheck.
+            (haar_d3_config(annealed([0.5, 1.0, 2.0], [0.3, 0.4, 0.3]), total_time=4.0 / (1 + 1e-12)), (2, 7)),
+            # Here it rounds to one unit below 4.0: sums on 4.0 overshoot by
+            # less than the sampler's error bracket, and the recheck drops them.
+            (haar_d3_config(annealed([0.5, 1.0, 2.0], [0.3, 0.4, 0.3]), total_time=3.999999999995999), (1, 6)),
         ],
         ids=[
             "tls-fixed",
@@ -185,14 +237,31 @@ class TestStateVectorOracle:
             "haar-d3-annealed-m4",
             "energy-basis",
             "tls-c1-zero",
+            "tls-fixed-total-time",
+            "haar-d3-quenched-budget-2.1",
+            "haar-d3-sums-on-budget",
+            "haar-d3-sums-not-representable",
+            "haar-d3-zero-probability-value",
+            "haar-d3-annealed-all-zero-counts",
+            "haar-d3-quenched-zero-probability-tiny-value",
+            "haar-d3-sums-on-limit",
+            "haar-d3-sums-just-over-limit",
         ],
     )
     def test_chain_sampler_matches_seed_for_seed(self, config, counts):
         heats, measured = state_vector_heats(config, 2, 1500)
         assert np.array_equal(sample_heats_chunk(config, 2, 1500), heats)
         if counts is not None:
-            # The case reaches the count-0 path and rows of at least counts[1] steps.
+            # The case has rows of exactly counts[0] and of at least counts[1] measurements.
             assert measured.min() == counts[0] and measured.max() >= counts[1]
+
+    def test_long_trajectories_grow_the_draw_buffer(self):
+        # About 4800 intervals a trajectory: one trajectory's draws do not
+        # fit in a piece of RENEWAL_PIECE uniforms.
+        config = haar_d3_config(annealed([0.001, 0.0011], [0.5, 0.5]), total_time=5.0)
+        heats, measured = state_vector_heats(config, 2, 3)
+        assert 2 * measured.min() + 3 > disorder.RENEWAL_PIECE
+        assert np.array_equal(sample_heats_chunk(config, 2, 3), heats)
 
 
 class TestSampling:
@@ -204,6 +273,17 @@ class TestSampling:
             for c, size in enumerate([1024, 1024, 452])
         ]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize(
+        "model", [Fixed(0.7), Quenched(bimodal()), Annealed(bimodal())], ids=["fixed", "quenched", "annealed"]
+    )
+    def test_row_sub_batches_take_the_same_stream(self, monkeypatch, model):
+        config = tls_config(m=5, model=model, seed=12)
+        whole = sample_heats_chunk(config, 1, 1000)
+        # A budget below one row still walks one row at a time.
+        for budget in (1, 100, 999):
+            monkeypatch.setattr(engine, "MAX_BLOCK_UNIFORMS", budget)
+            assert np.array_equal(sample_heats_chunk(config, 1, 1000), whole)
 
     def test_energy_basis_gives_zero_heat(self):
         assert np.all(sample_heats(energy_basis_config(seed=1), 500) == 0.0)
