@@ -20,7 +20,6 @@ from .disorder import (
     SequenceRealization,
     WaitingTimeModel,
     enumerate_realizations,
-    mean_waiting_time,
     sample_until_total_time,
     sample_waiting_times,
 )
@@ -54,7 +53,6 @@ from .operators import (
     measurement_sequence_operator,
     propagator,
     spectral_decompose,
-    spectral_exponential,
     transition_probability,
 )
 from .tls import TwoLevelParams
@@ -73,7 +71,6 @@ __all__ = [
     "SequenceRealization",
     "WaitingTimeModel",
     "enumerate_realizations",
-    "mean_waiting_time",
     "sample_until_total_time",
     "sample_waiting_times",
     "HeatDistribution",
@@ -101,7 +98,6 @@ __all__ = [
     "measurement_sequence_operator",
     "propagator",
     "spectral_decompose",
-    "spectral_exponential",
     "transition_probability",
     "TwoLevelParams",
 ]

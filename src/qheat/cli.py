@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Four subcommands: ``simulate`` (Monte Carlo), ``exact`` (enumeration),
-``figure`` (reference curves for the standard parameter sets) and
-``verify`` (the acceptance gate). Experiments are described by a JSON
-document; results are CSV with a comment header carrying the metadata
-needed to re-run the experiment. Output is byte-deterministic for a
-fixed config and seed: no timestamps, shortest-roundtrip float
+Four subcommands: ``simulate`` (Monte Carlo), ``exact`` (one enumerated
+outcome kernel per run serves the atoms, the characteristic function and
+the moments), ``figure`` (reference curves for the standard parameter
+sets) and ``verify`` (the acceptance gate). Experiments are described
+by a JSON document; results are CSV with a comment header carrying the
+metadata needed to re-run the experiment. Output is byte-deterministic
+for a fixed config and seed: no timestamps, shortest-roundtrip float
 formatting.
 
 Exit codes: 0 success, 2 config error, 3 size cap exceeded (enumeration
@@ -342,11 +343,23 @@ def _fits(value, default) -> bool:
 
 # Range of a figure override, checked after its type: (test, rule).
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_ALL_UNIT = (lambda v: all(0 <= x <= 1 for x in v), "must all lie in [0, 1]")
 _FIGURE_RANGES = {
     "a_step": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "supports": (lambda v: len(v) == 2 and min(v) > 0 and v[0] != v[1], "must be two distinct positive values"),
-    "p1": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "p1_values": (lambda v: all(0 <= x <= 1 for x in v), "must all lie in [0, 1]"),
+    "p1": _UNIT,
+    "p1_values": _ALL_UNIT,
+    "a_values": _ALL_UNIT,
+    "a_sq": _UNIT,
+    "a_sq_max": _UNIT,
+    "tau_bar": _POSITIVE,
+    "energy": _POSITIVE,
+    "splitting": _POSITIVE,
+    "total_time": _POSITIVE,
+    "total_times": (lambda v: all(0 < x < math.inf for x in v), "must all be positive and finite"),
+    "beta": (lambda v: 0 <= v < math.inf, "must be non-negative and finite"),
     "m_count": _AT_LEAST_ONE,
     "m_values": (lambda v: all(x >= 1 for x in v), "must all be >= 1"),
     "n_traj": (lambda v: v >= 2, "must be >= 2"),
@@ -493,7 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--threads", type=int, default=1, help="recorded in the header; no effect")
     sim.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
-    exa = sub.add_parser("exact", help="exact enumeration of the heat statistics")
+    exa = sub.add_parser(
+        "exact",
+        help="exact heat statistics from one enumerated outcome kernel",
+        description="Enumerates every disorder realization and outcome sequence once "
+        "into the outcome kernel K[m, n]; the atoms, the characteristic function on "
+        "u_grid, the exponential average and the moments all read it. Needs an "
+        "m_count schedule; more than 1e7 enumeration terms exit 3.",
+    )
     exa.add_argument("--config", required=True)
     exa.add_argument("--seed", type=int, default=None)
     exa.add_argument("--out", default=None)

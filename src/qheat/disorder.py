@@ -439,9 +439,3 @@ def sample_until_total_time(
     u_steps.flat[cells] = flat_steps
     return RenewalDraws(len(cells), counts, u_open, taus, u_steps, u_close)
 
-
-def mean_waiting_time(model: WaitingTimeModel) -> float:
-    """Expected single-interval waiting time of the model."""
-    if isinstance(model, Fixed):
-        return model.tau_bar
-    return model.dist.mean()

@@ -7,8 +7,12 @@ measurement is taken. The heat is the energy difference between the two
 energy readouts; this module computes its statistics three ways:
 
 * Monte Carlo over measurement trajectories (``sample_heats``),
-* exact enumeration over disorder realizations and outcome sequences
-  (``exact_distribution``, ``characteristic_function``), and
+* exact enumeration over disorder realizations and outcome sequences,
+  summed once per config into the outcome kernel
+  ``K[m, n] = sum w |<m|V|n>|^2``, which gives the atoms
+  ``(E_m - E_n, p_n K[m, n])`` (``exact_distribution``) and
+  ``G(u) = sum_{m,n} exp(i*u*E_m) K[m, n] p_n exp(-i*u*E_n)``
+  (``characteristic_function``), and
 * moments via numerical differentiation of the characteristic function,
   cross-checked against the distribution route (``heat_moment``).
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,11 +181,10 @@ def _merge_atoms(qs: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class _EnergyFrame:
-    """Per-config working data in the energy eigenbasis.
+    """The sampler's per-config data in the energy eigenbasis.
 
-    Exact enumeration uses the measurement vectors and the diagonal free
-    propagator; the sampler uses ``draw_table`` rows of the outcome chain,
-    stacked into arrays so that a whole block is looked up at once.
+    ``draw_table`` rows of the outcome chain, stacked into arrays so that a
+    whole block is looked up at once.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -191,10 +194,8 @@ class _EnergyFrame:
         # Measurement vectors expressed in the energy basis, one column each.
         self.basis_cols = h.eigenvectors.conj().T @ config.basis.vectors
         self.basis_rows = np.ascontiguousarray(self.basis_cols.conj().T)
-        self.populations = energy_populations(config.rho0, config.h)
-        self._phase_cache: dict[float, np.ndarray] = {}
         overlaps = self.basis_cols.real**2 + self.basis_cols.imag**2  # [n, k] = |<k|n>|^2
-        self.opening = np.array(draw_table(self.populations))
+        self.opening = np.array(draw_table(energy_populations(config.rho0, h)))
         self.first = np.array([draw_table(row) for row in overlaps])
         self.readout = np.array([draw_table(col) for col in overlaps.T])
         model = config.model
@@ -202,19 +203,12 @@ class _EnergyFrame:
             np.array([model.tau_bar]) if isinstance(model, Fixed) else np.sort(model.dist.values)
         )
 
-    def phases(self, tau: float) -> np.ndarray:
-        cached = self._phase_cache.get(tau)
-        if cached is None:
-            cached = np.exp(-1j * self.evals * tau)
-            self._phase_cache[tau] = cached
-        return cached
-
     @cached_property
     def steps(self) -> np.ndarray:
         """Draw tables of ``T(tau)``: ``steps[j, k]`` follows outcome ``k`` after ``support[j]``."""
         tables = []
         for tau in self.support:
-            phases = self.phases(tau)
+            phases = np.exp(-1j * self.evals * tau)
             for k in range(self.dim):
                 amps = self.basis_rows @ (phases * self.basis_cols[:, k])
                 tables.append(draw_table(amps.real**2 + amps.imag**2))
@@ -345,94 +339,93 @@ def _require_m_count(config: ProtocolConfig) -> int:
     return config.m_count
 
 
-def _check_term_cap(config: ProtocolConfig, cap: int) -> list:
+def _check_term_cap(config: ProtocolConfig) -> list:
     m = _require_m_count(config)
-    realizations = enumerate_realizations(config.model, m, cap=cap)
+    realizations = enumerate_realizations(config.model, m, cap=DEFAULT_TERM_CAP)
     terms = len(realizations) * config.basis.size**m
-    if terms > cap:
+    if terms > DEFAULT_TERM_CAP:
         raise EnumerationTooLargeError(
-            f"exact enumeration needs {terms} terms, cap is {cap}"
+            f"exact enumeration needs {terms} terms, cap is {DEFAULT_TERM_CAP}"
         )
     return realizations
 
 
-def _leaf_operators(basis_cols: np.ndarray, phase_list: list[np.ndarray]):
-    """All sequence operators for one waiting-time vector, in the energy basis.
+def _leaf_operators(config: ProtocolConfig):
+    """``(w, V)`` for every disorder realization and outcome sequence.
 
-    Depth-first over outcome prefixes so partial products are shared; at
-    depth i the running matrix is P_{k_i} U(tau_i) ... P_{k_1} U(tau_1).
+    ``w`` is the realization's weight and ``V`` the sequence operator in
+    the energy basis. Depth-first over outcome prefixes so partial products
+    are shared; at depth i the running matrix is
+    P_{k_i} U(tau_i) ... P_{k_1} U(tau_1).
     """
-    dim, n_outcomes = basis_cols.shape
+    realizations = _check_term_cap(config)
+    evals = config.h.eigenvalues
+    basis_cols = config.h.eigenvectors.conj().T @ config.basis.vectors
 
-    def recurse(depth: int, mat: np.ndarray):
+    def recurse(phase_list, depth: int, mat: np.ndarray):
         if depth == len(phase_list):
             yield mat
             return
         evolved = phase_list[depth][:, None] * mat
-        for k in range(n_outcomes):
-            row = basis_cols[:, k].conj() @ evolved
-            yield from recurse(depth + 1, np.outer(basis_cols[:, k], row))
+        for col in basis_cols.T:
+            yield from recurse(phase_list, depth + 1, np.outer(col, col.conj() @ evolved))
 
-    yield from recurse(0, np.eye(dim, dtype=complex))
-
-
-def exact_distribution(config: ProtocolConfig, cap: int = DEFAULT_TERM_CAP) -> HeatDistribution:
-    """Exact heat distribution by enumerating disorder and outcomes.
-
-    Accumulates initial-population times disorder-weight times squared
-    transition amplitude over every realization and outcome sequence.
-    Feasibility is guarded by ``cap`` on the total term count.
-    """
-    realizations = _check_term_cap(config, cap)
-    frame = _EnergyFrame(config)
-    acc = np.zeros((frame.dim, frame.dim))
     for real in realizations:
-        phase_list = [frame.phases(tau) for tau in real.taus]
-        for op in _leaf_operators(frame.basis_cols, phase_list):
-            acc += real.weight * (op.real**2 + op.imag**2)
-    pairs = []
-    for n in range(frame.dim):
-        pn = frame.populations[n]
-        for m in range(frame.dim):
-            pairs.append((frame.evals[m] - frame.evals[n], pn * acc[m, n]))
-    dist = HeatDistribution.from_atoms(pairs, kind="exact")
-    return dist
+        phase_list = [np.exp(-1j * evals * tau) for tau in real.taus]
+        for op in recurse(phase_list, 0, np.eye(config.h.dim, dtype=complex)):
+            yield real.weight, op
 
 
-def characteristic_function(
-    config: ProtocolConfig, u: complex, cap: int = DEFAULT_TERM_CAP
-) -> complex:
+@lru_cache(maxsize=1)
+def _kernel(config: ProtocolConfig) -> np.ndarray:
+    """Disorder-averaged outcome kernel ``K[m, n]`` in the energy basis.
+
+    ``K[m, n]`` sums ``w |<m|V|n>|^2`` over every realization and outcome
+    sequence: the probability that the closing energy readout is ``m``
+    given the opening readout ``n``. Built once per config (configs compare
+    by identity), it serves the atoms and the characteristic function.
+    """
+    kernel = sum(w * (op.real**2 + op.imag**2) for w, op in _leaf_operators(config))
+    kernel.flags.writeable = False
+    return kernel
+
+
+def exact_distribution(config: ProtocolConfig) -> HeatDistribution:
+    """Exact heat distribution: atoms ``(E_m - E_n, p_n K[m, n])``.
+
+    ``p_n`` are the initial energy populations and ``K`` the enumerated
+    outcome kernel; the enumeration is capped at ``DEFAULT_TERM_CAP`` terms.
+    """
+    kernel = _kernel(config)
+    evals = config.h.eigenvalues
+    populations = energy_populations(config.rho0, config.h)
+    pairs = [
+        (evals[m] - evals[n], populations[n] * kernel[m, n])
+        for n in range(config.h.dim)
+        for m in range(config.h.dim)
+    ]
+    return HeatDistribution.from_atoms(pairs, kind="exact")
+
+
+def characteristic_function(config: ProtocolConfig, u: complex) -> complex:
     """Exact characteristic function of the heat at complex argument ``u``.
 
-    Evaluates the disorder-averaged trace of
-    exp(i*u*H) V exp(-i*u*H) rho V(dagger) summed over outcome
-    sequences, with the initial state dephased in the energy basis (the
+    ``G(u) = sum_{m,n} exp(i*u*E_m) K[m, n] p_n exp(-i*u*E_n)`` with the
+    outcome kernel ``K`` and the initial energy populations ``p`` (the
     opening measurement erases energy coherences, so only populations
     enter). At real ``u`` this equals the Fourier sum over the atoms of
     ``exact_distribution``; at ``u = i*beta`` with a thermal state it
     equals 1 identically, because the averaged channel is unital.
     """
     u = complex(u)
-    realizations = _check_term_cap(config, cap)
-    frame = _EnergyFrame(config)
-    eu = np.exp(1j * u * frame.evals)
-    euinv = np.exp(-1j * u * frame.evals)
-    weighted_euinv = euinv * frame.populations
-    terms_re: list[float] = []
-    terms_im: list[float] = []
-    for real in realizations:
-        phase_list = [frame.phases(tau) for tau in real.taus]
-        for op in _leaf_operators(frame.basis_cols, phase_list):
-            # Tr[diag(eu) V diag(euinv) diag(p) V+] with V in the energy basis.
-            val = real.weight * np.sum(
-                (eu[:, None] * op) * weighted_euinv[None, :] * op.conj()
-            )
-            terms_re.append(val.real)
-            terms_im.append(val.imag)
-    return complex(math.fsum(terms_re), math.fsum(terms_im))
+    evals = config.h.eigenvalues
+    populations = energy_populations(config.rho0, config.h)
+    return complex(
+        np.exp(1j * u * evals) @ _kernel(config) @ (populations * np.exp(-1j * u * evals))
+    )
 
 
-def unitality_residual(config: ProtocolConfig, cap: int = DEFAULT_TERM_CAP) -> float:
+def unitality_residual(config: ProtocolConfig) -> float:
     """Frobenius distance of the averaged channel's image of identity from identity.
 
     Sums V V(dagger) over outcome sequences and disorder realizations;
@@ -440,14 +433,8 @@ def unitality_residual(config: ProtocolConfig, cap: int = DEFAULT_TERM_CAP) -> f
     this the identity exactly, so the residual is pure round-off. The
     initial state plays no role.
     """
-    realizations = _check_term_cap(config, cap)
-    frame = _EnergyFrame(config)
-    acc = np.zeros((frame.dim, frame.dim), dtype=complex)
-    for real in realizations:
-        phase_list = [frame.phases(tau) for tau in real.taus]
-        for op in _leaf_operators(frame.basis_cols, phase_list):
-            acc += real.weight * (op @ op.conj().T)
-    return float(np.linalg.norm(acc - np.eye(frame.dim)))
+    image = sum(w * (op @ op.conj().T) for w, op in _leaf_operators(config))
+    return float(np.linalg.norm(image - np.eye(config.h.dim)))
 
 
 # Central finite-difference configuration per derivative order: base step

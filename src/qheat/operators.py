@@ -132,20 +132,6 @@ def propagator(h: HermitianOperator, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def spectral_exponential(h: HermitianOperator, u: complex) -> np.ndarray:
-    """Matrix exponential exp(i*u*H) for complex u.
-
-    For real ``u`` the result is unitary; for purely imaginary ``u = i*b``
-    with b > 0 it is Hermitian positive definite (a Boltzmann-like weight).
-    """
-    u = complex(u)
-    if not (np.isfinite(u.real) and np.isfinite(u.imag)):
-        raise ValueError("u must be finite")
-    weights = np.exp(1j * u * h.eigenvalues)
-    v = h.eigenvectors
-    return (v * weights) @ v.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Complete set of rank-1 orthogonal projectors for a monitored observable.

@@ -358,6 +358,16 @@ class TestFigures:
             (["fig3"], {"mean_points": 0}, "figure.mean_points"),
             (["fig4"], {"scale_points": 0}, "figure.scale_points"),
             (["fig5"], {"a_sq_points": 0}, "figure.a_sq_points"),
+            (["fig3"], {"total_times": [1.5, 0.0]}, "figure.total_times"),
+            (["fig4"], {"total_time": -1.0}, "figure.total_time"),
+            (["fig1"], {"tau_bar": 0.0}, "figure.tau_bar"),
+            (["fig1"], {"energy": 0.0}, "figure.energy"),
+            (["fig3"], {"splitting": 0.0}, "figure.splitting"),
+            (["fig4"], {"splitting": -10.0}, "figure.splitting"),
+            (["fig1"], {"beta": -1.0}, "figure.beta"),
+            (["fig1"], {"a_values": [0.0, 2.0]}, "figure.a_values"),
+            (["fig3"], {"a_sq": 1.5}, "figure.a_sq"),
+            (["fig5"], {"a_sq_max": 2.0}, "figure.a_sq_max"),
         ],
     )
     def test_override_out_of_range_named(self, tmp_path, capsys, argv, overrides, field):
@@ -522,3 +532,6 @@ class TestBenchmarkContract:
         assert [name for name, value in counts if type(value) not in (int, float)] == []
         recorded = set(tracing.summarize(tracer.spans)) | {name for name, value in counts if value > 0}
         assert [name for name in tracing.REQUIRED[workload] if name not in recorded] == []
+        # One enumeration builds the kernel that every route of an ``exact`` command reads.
+        exact = [j for j, command in enumerate(commands) if command.argv[0] == "exact"]
+        assert [tracer.counts[(1, j)]["engine.enumerations"] for j in exact] == [1] * len(exact)

@@ -16,7 +16,6 @@ from qheat.disorder import (
     draw_indices,
     draw_table,
     enumerate_realizations,
-    mean_waiting_time,
     sample_until_total_time,
     sample_waiting_times,
     uniforms_per_sequence,
@@ -274,9 +273,3 @@ class TestSampleUntilTotalTime:
             for got, want in zip(draws(), reference):
                 assert np.array_equal(got, want)
 
-
-def test_mean_waiting_time():
-    assert mean_waiting_time(Fixed(0.7)) == pytest.approx(0.7)
-    assert mean_waiting_time(Annealed(bimodal(0.1, 1.5, 0.3))) == pytest.approx(
-        0.3 * 0.1 + 0.7 * 1.5
-    )

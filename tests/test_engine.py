@@ -317,6 +317,38 @@ class TestSampling:
         assert np.array_equal(sample_heats(config, 1000), sample_heats(config, 1000))
 
 
+def sequence_operator_atoms(config) -> dict[float, float]:
+    """Heat atoms ``{q: p}`` built from the public sequence-operator API.
+
+    Every outcome sequence of every disorder realization is multiplied out
+    with ``measurement_sequence_operator``; nothing is shared with the
+    engine's kernel.
+    """
+    evals, vecs = config.h.eigenvalues, config.h.eigenvectors
+    populations = np.real(np.diag(vecs.conj().T @ config.rho0.matrix @ vecs))
+    acc = {}
+    for real in disorder.enumerate_realizations(config.model, config.m_count):
+        for ks in itertools.product(range(config.basis.size), repeat=config.m_count):
+            seq = OutcomeSequence(ks=np.array(ks), taus=real.taus)
+            amps = vecs.conj().T @ measurement_sequence_operator(config.basis, config.h, seq) @ vecs
+            for n, m in itertools.product(range(config.h.dim), repeat=2):
+                q = float(evals[m] - evals[n])
+                acc[q] = acc.get(q, 0.0) + real.weight * populations[n] * abs(amps[m, n]) ** 2
+    return acc
+
+
+ORACLE_CASES = {
+    "tls-annealed": lambda: tls_config(m=3, model=Annealed(bimodal(0.2, 1.3, 0.4))),
+    "haar-d3-fixed": lambda: haar_d3_config(Fixed(0.9), None, m_count=3),
+    "haar-d3-quenched": lambda: haar_d3_config(Quenched(bimodal(0.4, 2.5, 0.5)), None, m_count=3),
+    # A pure state with energy coherences: only its populations enter.
+    "haar-d3-annealed-coherent": lambda: replace(
+        haar_d3_config(Annealed(bimodal(0.4, 2.5, 0.5)), None, m_count=3),
+        rho0=DensityMatrix.pure([1.0, 0.5 + 0.5j, -0.3j]),
+    ),
+}
+
+
 class TestExactDistribution:
     def test_energy_basis_single_zero_atom(self):
         h = spectral_decompose(np.diag([-1.0, 1.0]))
@@ -356,26 +388,13 @@ class TestExactDistribution:
     def test_annealed_is_mixture_of_frozen_disorder(self):
         # Independent oracle: per-realization distributions built from the
         # public sequence-operator API, mixed with the disorder weights.
-        config = tls_config(m=3, model=Annealed(bimodal(0.2, 1.3, 0.4)))
-        from qheat.disorder import enumerate_realizations
-        from qheat.operators import energy_populations
-
-        populations = energy_populations(config.rho0, config.h)
-        acc = {}
-        for real in enumerate_realizations(config.model, 3):
-            for ks in itertools.product(range(2), repeat=3):
-                op = measurement_sequence_operator(
-                    config.basis, config.h, OutcomeSequence(ks=np.array(ks), taus=real.taus)
-                )
-                amps = config.h.eigenvectors.conj().T @ op @ config.h.eigenvectors
-                for n in range(2):
-                    for m in range(2):
-                        q = float(config.h.eigenvalues[m] - config.h.eigenvalues[n])
-                        w = real.weight * populations[n] * abs(amps[m, n]) ** 2
-                        acc[q] = acc.get(q, 0.0) + w
-        dist = exact_distribution(config)
-        for q, p in dist.atoms:
-            assert p == pytest.approx(acc[q], abs=1e-12)
+        for name, make in ORACLE_CASES.items():
+            config = make()
+            oracle = sequence_operator_atoms(config)
+            dist = exact_distribution(config)
+            assert [q for q, _ in dist.atoms] == sorted(oracle), name
+            for q, p in dist.atoms:
+                assert p == pytest.approx(oracle[q], abs=1e-12), name
 
     def test_requires_m_count_schedule(self):
         config = tls_config()
@@ -455,6 +474,14 @@ class TestCharacteristicFunction:
             0.9,
         )
         assert abs(a - b) < 1e-13
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_sequence_operator_oracle(self, case):
+        config = ORACLE_CASES[case]()
+        oracle = sequence_operator_atoms(config)
+        for u in (0.7, 0.8j, 0.3 + 0.2j):
+            fourier = sum(p * np.exp(1j * u * q) for q, p in oracle.items())
+            assert abs(characteristic_function(config, u) - fourier) < 1e-10
 
     def test_matches_general_dimension_oracle(self):
         # d = 3 cross-check against the Fourier sum of the exact atoms.

@@ -18,7 +18,6 @@ from qheat.operators import (
     measurement_sequence_operator,
     propagator,
     spectral_decompose,
-    spectral_exponential,
     transition_probability,
 )
 from qheat.verify import random_basis, random_hermitian
@@ -105,48 +104,6 @@ class TestPropagator:
         h = spectral_decompose(np.diag([-1.0, 1.0]))
         with pytest.raises(ValueError):
             propagator(h, np.inf)
-
-
-class TestSpectralExponential:
-    def test_zero_argument_is_identity(self):
-        rng = np.random.default_rng(13)
-        h = random_hermitian(3, rng)
-        assert np.allclose(spectral_exponential(h, 0.0), np.eye(3), atol=1e-15)
-
-    def test_diagonal_boltzmann_weights(self):
-        h = spectral_decompose(np.diag([-1.0, 1.0]))
-        w = spectral_exponential(h, 1j)
-        assert np.allclose(w, np.diag([np.e, 1.0 / np.e]), atol=1e-12)
-
-    def test_real_argument_is_unitary(self):
-        rng = np.random.default_rng(17)
-        h = random_hermitian(4, rng)
-        w = spectral_exponential(h, 0.83)
-        assert np.max(np.abs(w @ w.conj().T - np.eye(4))) < 1e-12
-
-    def test_imaginary_argument_is_positive_definite(self):
-        rng = np.random.default_rng(19)
-        h = random_hermitian(3, rng)
-        w = spectral_exponential(h, 0.5j)
-        assert np.max(np.abs(w - w.conj().T)) < 1e-12
-        assert np.linalg.eigvalsh(w).min() > 0
-
-    def test_against_series_oracle(self):
-        # Scaled-and-squared Taylor series of exp(i*u*H).
-        rng = np.random.default_rng(23)
-        h = random_hermitian(3, rng)
-        u = 0.3 + 0.2j
-        a = 1j * u * h.matrix
-        scale = max(0, int(np.ceil(np.log2(max(1.0, np.linalg.norm(a))))) + 2)
-        small = a / 2**scale
-        series = np.eye(3, dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for k in range(1, 30):
-            term = term @ small / k
-            series = series + term
-        for _ in range(scale):
-            series = series @ series
-        assert np.max(np.abs(spectral_exponential(h, u) - series)) < 1e-10
 
 
 class TestMeasurementBasis:
